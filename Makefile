@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-all docs-check
+.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-all docs-check serve-check
 
-## Full local gate: lint, the tier-1 suite, docs drift, and the
-## benchmark floors (perf + view-plan ratios) — everything a PR must
-## keep green.
-test: lint test-unit docs-check bench-check
+## Full local gate: lint, the tier-1 suite, docs drift, the benchmark
+## floors (perf + view-plan ratios) and the end-to-end serving check —
+## everything a PR must keep green.
+test: lint test-unit docs-check bench-check serve-check
 
 ## Tier-1 test suite alone (the driver's gate).
 test-unit:
@@ -63,3 +63,14 @@ bench-all:
 ## Documentation drift guard: executes every README code block.
 docs-check:
 	$(PYTHON) -m pytest tests/test_docs.py -q
+
+## End-to-end serving check: a short run of every perfbench workload
+## (inline, hot, pool, replicas) with each answer checked against
+## direct evaluation.  Fails unless the run exits 0 and its last line
+## reports "correct": true.
+serve-check:
+	@out=$$($(PYTHON) perfbench/run.py --workload all --seconds 4) \
+		|| { printf '%s\n' "$$out"; echo "serve-check: run failed" >&2; exit 1; }; \
+	printf '%s\n' "$$out"; \
+	printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true' \
+		|| { echo 'serve-check: last line does not report "correct": true' >&2; exit 1; }

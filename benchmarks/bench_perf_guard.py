@@ -10,17 +10,12 @@ root so future PRs can diff against this PR's baseline:
     make bench-containment   # measure + floor-check + rewrite the JSON
     make bench-check         # measure + floor-check only (CI guard)
 
-Three columns per speedup case:
+Two columns per speedup case:
 
 * ``seed_ops_per_sec`` — the preserved per-set-bit seed implementation;
 * ``bitset_ops_per_sec`` — a **cold** containment call (all caches
   cleared first): engine construction + the word-parallel DP over every
-  model;
-* ``multicore_ops_per_sec`` — ``canonical_containment(..., workers=2)``
-  with warm cross-call state: the engine LRU, the per-container embeds
-  memo, and (on a multi-core box) the process shards.  On a single-core
-  box the sharded path degrades to inline (``multicore_mode`` records
-  which happened), and the memo alone carries the speedup.
+  model.
 
 **Floors are checked into the JSON** (``floors``) and enforced on every
 run: a measurement below its floor makes the script exit non-zero
@@ -31,18 +26,13 @@ silently re-baselining.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
 from pathlib import Path
 
-from repro.core import parallel
-from repro.core.containment import (
-    STATS,
-    canonical_containment,
-    clear_cache,
-    contains,
-)
+from repro.core.containment import canonical_containment, clear_cache, contains
 from repro.core.embedding_reference import reference_canonical_containment
 from repro.patterns.parse import parse_pattern
 
@@ -72,19 +62,8 @@ SPEEDUP_CASES = {
     "5-desc-edges-bound-4": ("a//b[c//d]//e//f//g", "a//*/*/g"),
 }
 
-#: PR 5's recorded bitset numbers (this box) — the baseline the
-#: multicore column's gain floors are measured against.
-PR5_BITSET_OPS = {
-    "4-desc-edges-bound-2": 7274.77,
-    "4-desc-edges-bound-5": 135.46,
-    "5-desc-edges-bound-4": 112.34,
-}
-
 #: Per-measurement floors, embedded in the JSON and enforced on every
-#: run.  ``speedup``: cold bitset vs seed.  ``multicore_gain``: the
-#: warm ``workers=2`` column vs PR 5's bitset ops/sec — the big-bound
-#: cases must clear ≥ 4× (the PR 6 acceptance target); the tiny-bound
-#: case only must not regress.
+#: run.  ``speedup``: cold bitset vs seed.
 FLOORS = {
     "contains_corpus_ops_per_sec": 2000.0,
     "speedup": {
@@ -92,15 +71,7 @@ FLOORS = {
         "4-desc-edges-bound-5": 3.0,
         "5-desc-edges-bound-4": 3.0,
     },
-    "multicore_gain": {
-        "4-desc-edges-bound-2": 1.0,
-        "4-desc-edges-bound-5": 4.0,  # the PR 6 acceptance target
-        "5-desc-edges-bound-4": 3.0,
-    },
 }
-
-#: Worker count for the multicore column.
-MULTICORE_WORKERS = 2
 
 
 def _ops_per_sec(fn, min_seconds: float = 1.0, min_rounds: int = 3) -> float:
@@ -131,17 +102,14 @@ def measure_contains_corpus() -> float:
 
 
 def measure_speedups() -> dict[str, dict]:
-    """Seed vs cold bitset vs warm multicore on the ≥4-descendant cases."""
+    """Seed vs cold bitset on the ≥4-descendant cases."""
     results: dict[str, dict] = {}
     for name, (a, b) in SPEEDUP_CASES.items():
         p1, p2 = parse_pattern(a), parse_pattern(b)
-        expected = reference_canonical_containment(p1, p2)
-        for workers in (0, MULTICORE_WORKERS):
-            clear_cache()
-            actual = canonical_containment(p1, p2, workers=workers)
-            assert actual == expected, (
-                f"engine disagreement on {name} (workers={workers})"
-            )
+        clear_cache()
+        assert canonical_containment(p1, p2) == (
+            reference_canonical_containment(p1, p2)
+        ), f"engine disagreement on {name}"
 
         def cold() -> None:
             clear_cache()
@@ -149,24 +117,10 @@ def measure_speedups() -> dict[str, dict]:
 
         bitset = _ops_per_sec(cold)
         seed = _ops_per_sec(lambda: reference_canonical_containment(p1, p2))
-        clear_cache()
-        fallbacks_before = STATS.shard_fallbacks
-        multicore = _ops_per_sec(
-            lambda: canonical_containment(p1, p2, workers=MULTICORE_WORKERS)
-        )
-        mode = (
-            "inline-fallback"
-            if STATS.shard_fallbacks > fallbacks_before
-            else "sharded"
-        )
         results[name] = {
             "bitset_ops_per_sec": round(bitset, 2),
             "seed_ops_per_sec": round(seed, 2),
             "speedup": round(bitset / seed, 2),
-            "multicore_ops_per_sec": round(multicore, 2),
-            "multicore_workers": MULTICORE_WORKERS,
-            "multicore_mode": mode,
-            "multicore_gain_vs_pr5": round(multicore / PR5_BITSET_OPS[name], 2),
         }
     return results
 
@@ -175,10 +129,10 @@ def run_guard() -> dict:
     report = {
         "generated_by": "benchmarks/bench_perf_guard.py",
         "python": platform.python_version(),
-        "cpu_count": parallel._cpu_count(),
+        "cpu_count": os.cpu_count(),
+        "cache_state": "cold",
         "contains_corpus_ops_per_sec": round(measure_contains_corpus(), 2),
         "speedup_vs_seed": measure_speedups(),
-        "pr5_bitset_ops_per_sec": dict(PR5_BITSET_OPS),
         "floors": FLOORS,
     }
     return report
@@ -198,12 +152,6 @@ def floor_violations(report: dict) -> list[str]:
         floor = floors["speedup"].get(name)
         if floor is not None and row["speedup"] < floor:
             problems.append(f"{name}: speedup {row['speedup']} < floor {floor}")
-        gain_floor = floors["multicore_gain"].get(name)
-        gain = row.get("multicore_gain_vs_pr5")
-        if gain_floor is not None and gain is not None and gain < gain_floor:
-            problems.append(
-                f"{name}: multicore_gain_vs_pr5 {gain} < floor {gain_floor}"
-            )
     return problems
 
 

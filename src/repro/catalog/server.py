@@ -236,11 +236,12 @@ class CatalogServer:
         that rebuild the catalog from the spec (warm-starting from
         ``spec.db_path`` when set).
     result_timeout:
-        Upper bound, in seconds, on how long :meth:`serve_requests`
-        waits for any single worker future — a dead or wedged worker
-        surfaces as a typed :class:`~repro.errors.RequestTimeout`
-        instead of blocking the caller forever.  ``None`` disables the
-        bound (the pre-PR-8 behavior; not recommended).
+        Upper bound, in seconds, on every wait for a worker future.
+        In :meth:`serve_requests` a dead or wedged worker surfaces as a
+        typed :class:`~repro.errors.RequestTimeout` instead of blocking
+        the caller forever; the async front end counts an expired wait
+        as a shard crash (restart, retry once, degrade).  ``None``
+        disables the bound (not recommended).
     fault_policy:
         Deterministic fault-injection hooks (:mod:`repro.faults`):
         consulted by the shard pool before every submission and by the
@@ -322,7 +323,7 @@ class CatalogServer:
         """Answer a request sequence, sharded into per-document batches.
 
         Requests are cut into consecutive windows of ``batch_size``
-        (preserving arrival order, like the async ``serve`` loop), each
+        (preserving arrival order, like the async front end), each
         window is grouped per document, and every group becomes one unit
         of work — answered inline, or submitted to the pool where groups
         run concurrently.  Answers scatter back in request order as

@@ -69,6 +69,10 @@ __all__ = ["AsyncFrontEnd", "ServeStats"]
 #: Overflow policies: await capacity, or reject at the door.
 OVERFLOW_POLICIES = ("wait", "reject")
 
+#: Pool outcomes the failure ladder treats as a dead shard: a crash, a
+#: broken worker process, or a wait past ``result_timeout``.
+_SHARD_DEATHS = (ShardCrashError, BrokenProcessPool, asyncio.TimeoutError)
+
 
 @dataclass
 class ServeStats:
@@ -481,8 +485,10 @@ class AsyncFrontEnd:
 
         Ladder: submit → (shard died) restart + retry once → (died
         again) degrade to an inline catalog rebuilt from the spec.
-        Inline mode consults the same fault policy, so every rung tests
-        without worker processes.
+        Each pool wait is bounded by the server's ``result_timeout``;
+        an expired wait counts as a shard death and takes the same
+        ladder.  Inline mode consults the same fault policy, so every
+        rung tests without worker processes.
 
         With a replica set attached, reads dispatch through its own
         ladder instead (crash → evict → sibling → writer-inline; see
@@ -515,30 +521,37 @@ class AsyncFrontEnd:
                     # mode surfaces it typed instead.
                     self.stats.shard_crashes += 1
                     raise
-        from .server import _serve_in_worker  # late: import cycle
-
         shard = server._shard_of[doc_id]
         scope.set(source="pool", shard=shard)
         try:
-            return await asyncio.wrap_future(
-                server._pool.submit(shard, _serve_in_worker, doc_id, xpaths)
-            )
-        except (ShardCrashError, BrokenProcessPool):
+            return await self._pool_round_trip(shard, doc_id, xpaths)
+        except _SHARD_DEATHS:
             self.stats.shard_crashes += 1
             self.stats.retries += 1
             scope.set(retries=1)
             try:
                 server._pool.restart(shard)
-                return await asyncio.wrap_future(
-                    server._pool.submit(
-                        shard, _serve_in_worker, doc_id, xpaths
-                    )
-                )
-            except (ShardCrashError, BrokenProcessPool):
+                return await self._pool_round_trip(shard, doc_id, xpaths)
+            except _SHARD_DEATHS:
                 self.stats.shard_crashes += 1
                 self.stats.inline_degrades += 1
                 scope.set(source="degraded_inline")
                 return server._degraded_inline(doc_id, xpaths)
+
+    async def _pool_round_trip(
+        self, shard: int, doc_id: str, xpaths: list[str]
+    ) -> tuple[list[list[int]], list[str]]:
+        """Submit one batch to its shard and await it, bounded by
+        ``result_timeout`` (a hung worker raises ``TimeoutError``)."""
+        from .server import _serve_in_worker  # late: import cycle
+
+        server = self._server
+        return await asyncio.wait_for(
+            asyncio.wrap_future(
+                server._pool.submit(shard, _serve_in_worker, doc_id, xpaths)
+            ),
+            server.result_timeout,
+        )
 
     @staticmethod
     def _inline_with_faults(

@@ -57,7 +57,6 @@ __all__ = [
     "incremental_models",
     "count_canonical_models",
     "gray_vectors",
-    "gray_vector_at",
     "star_length",
 ]
 
@@ -209,34 +208,6 @@ def gray_vectors(digits: int, base: int) -> Iterator[tuple[int, ...]]:
             d[j] = -d[j]
             f[j] = f[j + 1]
             f[j + 1] = j + 1
-
-
-def gray_vector_at(rank: int, digits: int, base: int) -> tuple[int, ...]:
-    """The ``rank``-th vector of :func:`gray_vectors`, in O(digits).
-
-    Closed form of the reflected code: write ``rank`` in base ``base``
-    (digit 0 fastest-changing, matching :func:`gray_vectors`); a digit is
-    reflected (``base-1-d``) iff the sum of the already-emitted
-    more-significant *Gray* digits is odd.  This is what lets
-    :meth:`CanonicalEngine.models_slice` start a Gray-code segment at an
-    arbitrary rank without walking the prefix — the entry point for
-    process-sharded model enumeration.
-    """
-    if base < 1:
-        raise ValueError("base must be >= 1")
-    if rank < 0 or rank >= base**digits:
-        raise ValueError(f"rank {rank} outside 0..{base**digits - 1}")
-    if base == 1:
-        return (0,) * digits
-    raw = [0] * digits
-    for i in range(digits):
-        rank, raw[i] = divmod(rank, base)
-    vector = [0] * digits
-    emitted_sum = 0
-    for i in range(digits - 1, -1, -1):
-        vector[i] = raw[i] if emitted_sum % 2 == 0 else base - 1 - raw[i]
-        emitted_sum += vector[i]
-    return tuple(vector)
 
 
 class _QPlan:
@@ -465,52 +436,6 @@ class CanonicalEngine:
             previous = vector
             yield self
 
-    def _seek(self, vector: tuple[int, ...]) -> None:
-        """Jump the live structure to an arbitrary expansion vector.
-
-        ``vector`` is a Gray digit vector (digit ``g`` ↦ expansion length
-        ``g + 1``), applied one grow/shrink at a time so every splice
-        invariant holds throughout.
-        """
-        for j, digit in enumerate(vector):
-            want = digit + 1
-            while self._lengths[j] < want:
-                self._grow(j)
-            while self._lengths[j] > want:
-                self._shrink(j)
-
-    def models_slice(self, start: int, count: int) -> Iterator["CanonicalEngine"]:
-        """Step through Gray ranks ``start .. start+count-1``.
-
-        Same per-rank states as :meth:`models` (rank 0 is τ), but the
-        segment starts at an arbitrary rank via :func:`gray_vector_at`
-        without walking the prefix — this is the unit of work handed to
-        each process shard.  ``models_slice(0, self.total)`` is exactly
-        ``models()``.
-        """
-        if start < 0 or count < 0 or start + count > self.total:
-            raise ValueError(
-                f"slice {start}..{start + count} outside 0..{self.total}"
-            )
-        if count == 0:
-            return
-        self._reset()
-        digits = len(self._edges)
-        previous = gray_vector_at(start, digits, self.max_length)
-        self._seek(previous)
-        yield self
-        for rank in range(start + 1, start + count):
-            vector = gray_vector_at(rank, digits, self.max_length)
-            for j, (old, new) in enumerate(zip(previous, vector)):
-                if old != new:
-                    if new > old:
-                        self._grow(j)
-                    else:
-                        self._shrink(j)
-                    break
-            previous = vector
-            yield self
-
     def current_model(self) -> CanonicalModel:
         """A :class:`CanonicalModel` view of the current state.
 
@@ -536,9 +461,7 @@ class CanonicalEngine:
     #: grow with the number of distinct containers ever tested.
     _Q_CACHE_LIMIT = 64
     #: Bound on each plan's fingerprint→verdict memo, cleared wholesale
-    #: on overflow.  The clear is deterministic in enumeration order,
-    #: which the sharded containment driver relies on to replay memo
-    #: counters bit-identically to the inline walk.
+    #: on overflow (deterministic in enumeration order).
     _MEMO_LIMIT = 8192
 
     def _plan_of(self, q: Pattern) -> "_QPlan":
@@ -699,58 +622,6 @@ class CanonicalEngine:
         if len(memo) >= self._MEMO_LIMIT:
             memo.clear()
         memo[fp] = verdict
-        return verdict
-
-    def embed_fingerprint(self, q: Pattern, weak: bool = False) -> int:
-        """The :meth:`embeds` memo fingerprint of the *current* vector.
-
-        Shard workers key their returned verdict maps by this value;
-        because the relevance vector and the descendant-edge order are
-        deterministic functions of ``(pattern, max_length, q)``, worker
-        and driver engines agree on every fingerprint.
-        """
-        plan = self._plan_of(q)
-        radix = self.max_length + 1
-        fp = 1 if weak else 0
-        rel = plan.rel
-        for j, length in enumerate(self._lengths):
-            fp = fp * radix + (length if rel[j] else 0)
-        return fp
-
-    def replay_models(
-        self, q: Pattern, weak: bool, verdicts: dict[int, bool], last_rank: int
-    ) -> bool:
-        """Replay Gray ranks ``0..last_rank`` through the embeds memo.
-
-        Used by the sharded containment driver: workers return
-        fingerprint→verdict maps, and the driver pushes the rank
-        sequence through its own engine's memo *without running the DP
-        or touching the live tree* — so memo contents and hit/miss
-        counters end up bit-identical to an inline :meth:`models` walk
-        over the same ranks (including the deterministic
-        overflow clear).  Returns the verdict at ``last_rank``.
-        """
-        plan = self._plan_of(q)
-        radix = self.max_length + 1
-        rel = plan.rel
-        memo = plan.memo
-        digits = len(self._edges)
-        verdict = True
-        for rank in range(last_rank + 1):
-            vector = gray_vector_at(rank, digits, self.max_length)
-            fp = 1 if weak else 0
-            for j, digit in enumerate(vector):
-                fp = fp * radix + (digit + 1 if rel[j] else 0)
-            cached = memo.get(fp)
-            if cached is not None:
-                self.memo_hits += 1
-                verdict = cached
-            else:
-                self.memo_misses += 1
-                verdict = verdicts[fp]
-                if len(memo) >= self._MEMO_LIMIT:
-                    memo.clear()
-                memo[fp] = verdict
         return verdict
 
 

@@ -67,7 +67,6 @@ from ..errors import ContainmentBudgetError
 from ..obs import span
 from ..patterns.ast import Axis, Pattern, PNode, WILDCARD, on_memo_reset
 from ..patterns.fragments import homomorphism_complete
-from . import parallel
 from .canonical import CanonicalEngine, count_canonical_models, star_length
 from .embedding import iter_bits, pattern_postorder
 
@@ -92,8 +91,6 @@ __all__ = [
     "cache_limit",
     "set_engine_cache_limit",
     "engine_cache_limit",
-    "set_default_workers",
-    "default_workers",
     "expansion_bound",
 ]
 
@@ -112,8 +109,6 @@ class ContainmentStats:
     branch_prunes: int = 0
     embed_memo_hits: int = 0
     embed_memo_misses: int = 0
-    shard_tasks: int = 0
-    shard_fallbacks: int = 0
 
     def reset(self) -> None:
         self.hom_tests = 0
@@ -126,8 +121,6 @@ class ContainmentStats:
         self.branch_prunes = 0
         self.embed_memo_hits = 0
         self.embed_memo_misses = 0
-        self.shard_tasks = 0
-        self.shard_fallbacks = 0
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -141,8 +134,6 @@ class ContainmentStats:
             "branch_prunes": self.branch_prunes,
             "embed_memo_hits": self.embed_memo_hits,
             "embed_memo_misses": self.embed_memo_misses,
-            "shard_tasks": self.shard_tasks,
-            "shard_fallbacks": self.shard_fallbacks,
         }
 
 
@@ -252,29 +243,6 @@ def set_engine_cache_limit(limit: int) -> None:
 def engine_cache_limit() -> int:
     """The current engine-LRU bound (0 = cross-call reuse disabled)."""
     return _ENGINE_CACHE_LIMIT
-
-
-#: Worker-process count used when a call passes ``workers=None``.
-_DEFAULT_WORKERS = 0
-
-
-def set_default_workers(workers: int) -> None:
-    """Set the worker count used when calls do not pass ``workers``.
-
-    ``0`` (the default) keeps every containment call on the
-    deterministic inline path; ``n >= 2`` routes big-bound canonical
-    checks through the process shards (subject to the degradation
-    policy in :mod:`repro.core.parallel`).
-    """
-    global _DEFAULT_WORKERS
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
-    _DEFAULT_WORKERS = workers
-
-
-def default_workers() -> int:
-    """The worker count used when calls do not pass ``workers``."""
-    return _DEFAULT_WORKERS
 
 
 def _engine_for(
@@ -586,104 +554,11 @@ def _canonical_check(
         STATS.embed_memo_misses += engine.memo_misses - misses_before
 
 
-def _canonical_check_sharded(
-    engine: CanonicalEngine,
-    p2: Pattern,
-    weak: bool,
-    max_models: int | None,
-    workers: int,
-) -> bool:
-    """Sharded canonical-model quantifier; falls back to inline.
-
-    The model space splits into contiguous Gray-rank segments, one per
-    worker process.  Workers check their segment (stopping at the
-    segment's first failing model) and return fingerprint→verdict
-    maps; the driver then *replays* ranks ``0 .. first global failure``
-    through its own engine's embeds memo.  That replay is what makes
-    verdicts **and** stats bit-identical to the inline walk: the memo's
-    end state, its hit/miss counters and ``canonical_models_checked``
-    all match what ``workers=0`` would have produced.  Any pool
-    failure degrades to the inline path (``shard_fallbacks``).
-    """
-    if max_models is not None and engine.total > max_models:
-        raise ContainmentBudgetError(
-            f"containment test needs {engine.total} canonical models "
-            f"(budget {max_models})"
-        )
-    shards = parallel.effective_workers(workers, engine.total)
-    if shards == 0:
-        STATS.shard_fallbacks += 1
-        return _canonical_check(engine, p2, weak, max_models)
-    try:
-        pool = parallel.shard_pool(shards)
-        p1_spec = parallel.pattern_to_spec(engine.pattern)
-        p2_spec = parallel.pattern_to_spec(p2)
-        segments = parallel.shard_segments(engine.total, shards)
-        futures = [
-            pool.submit(
-                index,
-                parallel._shard_task,
-                p1_spec,
-                engine.max_length,
-                p2_spec,
-                weak,
-                start,
-                count,
-            )
-            for index, (start, count) in enumerate(segments)
-        ]
-        first_fail: int | None = None
-        verdicts: dict[int, bool] = {}
-        for (start, _count), future in zip(segments, futures):
-            fail_offset, segment_verdicts = future.result()
-            verdicts.update(segment_verdicts)
-            if fail_offset is not None:
-                rank = start + fail_offset
-                if first_fail is None or rank < first_fail:
-                    first_fail = rank
-    except Exception:
-        # Broken pool, unpicklable state, spawn failure: the inline
-        # path is always available and no counters have moved yet.
-        STATS.shard_fallbacks += 1
-        return _canonical_check(engine, p2, weak, max_models)
-    STATS.shard_tasks += len(segments)
-    last_rank = engine.total - 1 if first_fail is None else first_fail
-    hits_before = engine.memo_hits
-    misses_before = engine.memo_misses
-    engine.replay_models(p2, weak, verdicts, last_rank)
-    STATS.canonical_models_checked += last_rank + 1
-    STATS.embed_memo_hits += engine.memo_hits - hits_before
-    STATS.embed_memo_misses += engine.memo_misses - misses_before
-    return first_fail is None
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return _DEFAULT_WORKERS
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
-    return workers
-
-
-def _check(
-    engine: CanonicalEngine,
-    p2: Pattern,
-    weak: bool,
-    max_models: int | None,
-    workers: int,
-) -> bool:
-    """Route one canonical check inline or through the shards."""
-    if workers >= 2:
-        return _canonical_check_sharded(engine, p2, weak, max_models, workers)
-    return _canonical_check(engine, p2, weak, max_models)
-
-
 def canonical_containment(
     p1: Pattern,
     p2: Pattern,
     weak: bool = False,
     max_models: int | None = None,
-    workers: int | None = None,
 ) -> bool:
     """Complete containment test: ``p1 ⊑ p2`` (or ``p1 ⊑w p2``).
 
@@ -694,11 +569,6 @@ def canonical_containment(
     is checked first and each further model is derived from its
     predecessor by a single ⊥-chain splice (Gray-code enumeration via
     :class:`repro.core.canonical.CanonicalEngine`).
-
-    ``workers >= 2`` shards the model space across processes
-    (:mod:`repro.core.parallel`); ``workers=0``/``1`` (and ``None``
-    with the module default unset) is the deterministic inline mode
-    whose verdicts and stats the sharded path reproduces bit for bit.
 
     Raises
     ------
@@ -719,9 +589,7 @@ def canonical_containment(
                 f"(budget {max_models})"
             )
     engine = _engine_for(p1, bound)
-    return _check(
-        engine, p2, weak, max_models, _resolve_workers(workers)
-    )
+    return _canonical_check(engine, p2, weak, max_models)
 
 
 # ----------------------------------------------------------------------
@@ -734,7 +602,6 @@ def _decide(
     weak: bool,
     max_models: int | None,
     engines: dict[int, CanonicalEngine] | None = None,
-    workers: int = 0,
 ) -> bool:
     """Uncached dispatch for one pair (shared by contains/contains_all).
 
@@ -766,7 +633,7 @@ def _decide(
     STATS.canonical_tests += 1
     bound = expansion_bound(p2)
     engine = _engine_for(p1, bound, local=engines)
-    return _check(engine, p2, weak, max_models, workers)
+    return _canonical_check(engine, p2, weak, max_models)
 
 
 def contains(
@@ -774,7 +641,6 @@ def contains(
     p2: Pattern,
     max_models: int | None = None,
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> bool:
     """Decide ``p1 ⊑ p2`` (Definition 2.2).  Complete on ``XP{//,[],*}``.
 
@@ -782,9 +648,7 @@ def contains(
     PTIME test decides; otherwise the homomorphism test is tried as a
     sufficient condition before falling back to the canonical-model
     procedure (τ-first, Gray-code incremental — see
-    :func:`canonical_containment`).  ``workers >= 2`` shards the
-    canonical fallback across processes with verdicts and stats
-    bit-identical to the inline default.
+    :func:`canonical_containment`).
     """
     if p1.is_empty:
         return True
@@ -798,10 +662,7 @@ def contains(
     # Only memo-cache *misses* get a span: hits are sub-microsecond and
     # would swamp the trace without saying anything about time spent.
     with span("containment.decide") as scope:
-        result = _decide(
-            p1, p2, weak=False, max_models=max_models,
-            workers=_resolve_workers(workers),
-        )
+        result = _decide(p1, p2, weak=False, max_models=max_models)
         scope.set(result=result)
     if use_cache:
         _cache_put(key, result)
@@ -819,8 +680,7 @@ class ContainmentBatch:
     """
 
     __slots__ = (
-        "p1", "max_models", "use_cache", "weak", "workers", "_engines",
-        "_key1",
+        "p1", "max_models", "use_cache", "weak", "_engines", "_key1",
     )
 
     def __init__(
@@ -829,13 +689,11 @@ class ContainmentBatch:
         max_models: int | None = None,
         use_cache: bool = True,
         weak: bool = False,
-        workers: int | None = None,
     ):
         self.p1 = p1
         self.max_models = max_models
         self.use_cache = use_cache
         self.weak = weak
-        self.workers = _resolve_workers(workers)
         self._engines: dict[int, CanonicalEngine] = {}
         self._key1 = (
             p1.memo_key() if use_cache and not p1.is_empty else 0
@@ -859,7 +717,6 @@ class ContainmentBatch:
                 weak=self.weak,
                 max_models=self.max_models,
                 engines=self._engines,
-                workers=self.workers,
             )
             scope.set(result=decided)
         if self.use_cache:
@@ -873,7 +730,6 @@ def contains_all(
     max_models: int | None = None,
     use_cache: bool = True,
     weak: bool = False,
-    workers: int | None = None,
 ) -> list[bool]:
     """Batched containment: ``[p1 ⊑ v for v in views]``.
 
@@ -886,8 +742,7 @@ def contains_all(
     :class:`ContainmentBatch` directly.
     """
     batch = ContainmentBatch(
-        p1, max_models=max_models, use_cache=use_cache, weak=weak,
-        workers=workers,
+        p1, max_models=max_models, use_cache=use_cache, weak=weak
     )
     return [batch.contains(view) for view in views]
 
@@ -897,7 +752,6 @@ def weakly_contains(
     p2: Pattern,
     max_models: int | None = None,
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> bool:
     """Decide weak containment ``p1 ⊑w p2`` (Definition 2.3).
 
@@ -914,10 +768,7 @@ def weakly_contains(
         cached = _cache_get(key)
         if cached is not None:
             return cached
-    result = _decide(
-        p1, p2, weak=True, max_models=max_models,
-        workers=_resolve_workers(workers),
-    )
+    result = _decide(p1, p2, weak=True, max_models=max_models)
     if use_cache:
         _cache_put(key, result)
     return result

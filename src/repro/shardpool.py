@@ -1,14 +1,13 @@
 """Leak-safe fleets of single-process executor shards.
 
-Extracted from the catalog server (PR 5), whose picklable-spec pool
-plumbing is also the shape the containment layer's sharded
-canonical-model checking reuses (:mod:`repro.core.parallel`).  The
-shared contract:
+Extracted from the catalog server, whose document-affine pool
+(:class:`~repro.catalog.server.CatalogServer` with ``workers >= 1``) is
+its one user.  The contract:
 
 * each shard is a ``ProcessPoolExecutor`` with exactly **one** worker,
   primed by a module-level initializer with that shard's own picklable
-  initargs — so per-shard state (a rebuilt catalog, a warm canonical
-  engine) lives in exactly one process and stays warm across tasks;
+  initargs — so per-shard state (a rebuilt catalog) lives in exactly
+  one process and stays warm across tasks;
 * construction is all-or-nothing: if a later shard fails to start, the
   earlier shards are shut down instead of leaking their worker
   processes (the caller never receives the object, so its ``close`` is

@@ -16,8 +16,8 @@ The engine records per-query plans and counters, which benchmark C5 uses
 to reproduce the paper's motivating speedup scenario (the view forest is
 usually far smaller than the document).
 
-Batched and async serving
--------------------------
+Batched answering
+-----------------
 :meth:`QueryEngine.answer_many` answers a whole batch at once: duplicate
 queries are folded by ``memo_key`` so each *distinct* query is planned
 and executed exactly once (query streams repeat by design — the fold is
@@ -27,10 +27,9 @@ view-equivalence prefilter runs as one
 :class:`~repro.core.containment.ContainmentBatch`-backed
 :func:`~repro.core.containment.contains_all` sweep over all undecided
 views.  The per-batch :class:`EngineStats` delta comes back on the
-:class:`BatchAnswer`.  :meth:`QueryEngine.serve` wraps that in an
-``asyncio`` loop that drains a request queue into batches (optionally
-running each batch in an :class:`~concurrent.futures.Executor` so
-planning stays off the event loop).  An optional **cross-batch answer
+:class:`BatchAnswer`.  Serving loops live a layer up: the catalog's
+async front end (:mod:`repro.catalog.serving`) drains its request queue
+into :meth:`answer_many` batches.  An optional **cross-batch answer
 cache** (``answer_cache_size``) memoizes whole answer sets per
 ``(document, query)``, validated against the store's document digest —
 the catalog layer (:mod:`repro.catalog`) turns it on for its engines.
@@ -53,10 +52,8 @@ service invalidates it automatically.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -704,94 +701,6 @@ class QueryEngine:
         after = self.stats.snapshot()
         result.stats = {key: after[key] - before[key] for key in after}
         return result
-
-    async def serve(
-        self,
-        requests: "asyncio.Queue",
-        document: str,
-        *,
-        batch_size: int = 32,
-        executor: Executor | None = None,
-    ) -> int:
-        """Async serving loop: drain the queue into batches, answer, resolve.
-
-        ``requests`` carries ``(query, future)`` pairs — the future is
-        resolved with the query's answer set (or the raised exception).
-        The loop blocks on the first request, then greedily drains up to
-        ``batch_size`` already-queued requests so bursts are folded
-        through :meth:`answer_many`; an explicit ``None`` item shuts the
-        loop down after the in-flight batch.  Returns the number of
-        requests served.
-
-        Planning/execution is synchronous CPU work.  Without an
-        ``executor`` the loop yields to the event loop between batches,
-        not within one — pick ``batch_size`` for the latency you can
-        tolerate.  With an ``executor`` each batch's
-        :meth:`answer_many` runs off the event loop via
-        :meth:`~asyncio.loop.run_in_executor`, so other coroutines stay
-        responsive while a batch plans.  The executor must share this
-        engine's address space (a ``ThreadPoolExecutor``): answer sets
-        are live node references.  Process-level sharding is the
-        catalog server's job (:mod:`repro.catalog.server`), which ships
-        picklable requests to workers instead of engine objects.
-        """
-        if batch_size < 1:
-            raise ViewEngineError("serve batch_size must be >= 1")
-        served = 0
-        stopping = False
-        loop = asyncio.get_running_loop()
-        while not stopping:
-            item = await requests.get()
-            if item is None:
-                requests.task_done()
-                break
-            batch = [item]
-            while len(batch) < batch_size:
-                try:
-                    nxt = requests.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            try:
-                queries = [query for query, _ in batch]
-                if executor is not None:
-                    result = await loop.run_in_executor(
-                        executor, self.answer_many, queries, document
-                    )
-                else:
-                    result = self.answer_many(queries, document)
-                for (_, future), answer in zip(batch, result.answers):
-                    if not future.done():
-                        future.set_result(answer)
-            except Exception:
-                # One pathological query must not fail its batchmates:
-                # fall back to per-request answering so only the
-                # offending request(s) carry an exception.  The fallback
-                # is the same CPU-bound work, so it stays off the event
-                # loop too when an executor was provided.
-                for query, future in batch:
-                    if future.done():
-                        continue
-                    try:
-                        if executor is not None:
-                            answer = await loop.run_in_executor(
-                                executor, self.answer, query, document
-                            )
-                        else:
-                            answer = self.answer(query, document)
-                        future.set_result(answer)
-                    except Exception as exc:
-                        future.set_exception(exc)
-            served += len(batch)
-            # One task_done per consumed item (plus the drained sentinel,
-            # when stopping), so producers may await requests.join().
-            for _ in range(len(batch) + (1 if stopping else 0)):
-                requests.task_done()
-            await asyncio.sleep(0)  # let producers/consumers run
-        return served
 
     # ------------------------------------------------------------------
     # Verification helper (Prop 2.4 end-to-end)

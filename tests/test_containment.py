@@ -202,8 +202,6 @@ class TestDispatchAndCache:
             "branch_prunes": 0,
             "embed_memo_hits": 0,
             "embed_memo_misses": 0,
-            "shard_tasks": 0,
-            "shard_fallbacks": 0,
         }
 
 

@@ -1,9 +1,6 @@
-"""The engine's cross-batch answer cache and the serve() executor hook."""
+"""The engine's cross-batch answer cache."""
 
 from __future__ import annotations
-
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,7 +9,6 @@ from repro.patterns.parse import parse_pattern
 from repro.views.engine import QueryEngine
 from repro.views.store import ViewStore
 from repro.xmltree.generate import random_tree
-from repro.xmltree.tree import build_tree
 
 
 def make_engine(answer_cache_size=8):
@@ -117,39 +113,3 @@ class TestAnswerCache:
         batch = engine.answer_many(queries, "doc")
         for query, answer in zip(queries, batch.answers):
             assert answer == engine.store.evaluate(query, "doc")
-
-
-class TestServeExecutorHook:
-    def drive(self, executor):
-        store = ViewStore()
-        store.add_document(
-            "doc", build_tree({"a": [{"b": ["c"]}, "b", {"d": ["b"]}]})
-        )
-        engine = QueryEngine(store)
-        queries = [parse_pattern(x) for x in ("a//b", "a/b/c", "a//b")] * 4
-
-        async def scenario():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            futures = []
-            for query in queries:
-                future = loop.create_future()
-                futures.append(future)
-                queue.put_nowait((query, future))
-            queue.put_nowait(None)
-            served = await engine.serve(
-                queue, "doc", batch_size=4, executor=executor
-            )
-            return served, [future.result() for future in futures]
-
-        served, answers = asyncio.run(scenario())
-        assert served == len(queries)
-        for query, answer in zip(queries, answers):
-            assert answer == store.evaluate(query, "doc")
-
-    def test_serve_with_thread_pool(self):
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            self.drive(executor)
-
-    def test_serve_without_executor_unchanged(self):
-        self.drive(None)

@@ -1,12 +1,9 @@
-"""Tests for batched and async query answering (QueryEngine.answer_many / serve)."""
+"""Tests for batched query answering (QueryEngine.answer_many)."""
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
-from repro.errors import ViewEngineError
 from repro.patterns.parse import parse_pattern
 from repro.views.engine import QueryEngine
 from repro.views.store import ViewStore
@@ -77,127 +74,6 @@ class TestAnswerMany:
                 )
             else:
                 assert answers == engine.store.evaluate(query, "doc")
-
-
-class TestServe:
-    def drive(self, engine, queries, batch_size=8):
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            futures = []
-            for query in queries:
-                future = loop.create_future()
-                await queue.put((query, future))
-                futures.append(future)
-            await queue.put(None)
-            served = await engine.serve(queue, "doc", batch_size=batch_size)
-            return served, [future.result() for future in futures]
-
-        return asyncio.run(main())
-
-    def test_serves_all_requests(self, engine):
-        queries = [parse_pattern(x) for x in QUERIES * 4]
-        served, results = self.drive(engine, queries)
-        assert served == len(queries)
-        for query, answers in zip(queries, results):
-            assert answers == engine.answer(query, "doc")
-
-    def test_sentinel_stops_loop(self, engine):
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            await queue.put(None)
-            return await engine.serve(queue, "doc")
-
-        assert asyncio.run(main()) == 0
-
-    def test_concurrent_producer(self, engine):
-        queries = [parse_pattern(x) for x in QUERIES * 6]
-
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            futures = [loop.create_future() for _ in queries]
-
-            async def produce():
-                for query, future in zip(queries, futures):
-                    await queue.put((query, future))
-                    await asyncio.sleep(0)
-                await queue.put(None)
-
-            producer = asyncio.create_task(produce())
-            served = await engine.serve(queue, "doc", batch_size=4)
-            await producer
-            return served, [future.result() for future in futures]
-
-        served, results = asyncio.run(main())
-        assert served == len(queries)
-        for query, answers in zip(queries, results):
-            assert answers == engine.answer(query, "doc")
-
-    def test_bad_document_sets_exception(self, engine):
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            await queue.put((parse_pattern("a//b"), future))
-            await queue.put(None)
-            await engine.serve(queue, "no-such-doc")
-            return future
-
-        future = asyncio.run(main())
-        with pytest.raises(ViewEngineError):
-            future.result()
-
-    def test_poisoned_query_does_not_fail_batchmates(self, engine):
-        """A failing query in a batch must not fail the other requests."""
-        from repro.patterns.ast import Pattern
-
-        class Poison(Pattern):
-            def memo_key(self):
-                raise RuntimeError("boom")
-
-        poison = Poison(parse_pattern("a//b").root)
-
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            good = [loop.create_future() for _ in range(3)]
-            bad = loop.create_future()
-            await queue.put((parse_pattern("a/b"), good[0]))
-            await queue.put((poison, bad))
-            await queue.put((parse_pattern("a/*"), good[1]))
-            await queue.put((parse_pattern("a//b[c]"), good[2]))
-            await queue.put(None)
-            await engine.serve(queue, "doc", batch_size=4)
-            return good, bad
-
-        good, bad = asyncio.run(main())
-        assert all(future.exception() is None for future in good)
-        assert isinstance(bad.exception(), RuntimeError)
-
-    def test_queue_join_completes(self, engine):
-        """serve() calls task_done per item, so producers can join()."""
-
-        async def main():
-            queue: asyncio.Queue = asyncio.Queue()
-            loop = asyncio.get_running_loop()
-            futures = [loop.create_future() for _ in range(6)]
-            for future in futures:
-                await queue.put((parse_pattern("a//b"), future))
-            server = asyncio.create_task(engine.serve(queue, "doc", batch_size=2))
-            await asyncio.wait_for(queue.join(), timeout=10)
-            await queue.put(None)
-            await server
-            return all(future.done() for future in futures)
-
-        assert asyncio.run(main())
-
-    def test_rejects_bad_batch_size(self, engine):
-        async def main():
-            await engine.serve(asyncio.Queue(), "doc", batch_size=0)
-
-        with pytest.raises(ViewEngineError):
-            asyncio.run(main())
 
 
 class TestReplayBatched:

@@ -35,6 +35,8 @@ from repro.shardpool import ShardPool
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
+from .oracle import direct_answers
+
 pytestmark = pytest.mark.faultinject
 
 
@@ -168,6 +170,62 @@ class TestShardPoolFaults:
             assert not future.done()
         finally:
             pool.shutdown(wait=False)
+
+    def test_closed_pool_rejects_submit(self):
+        pool = ShardPool(None, [()])
+        pool.shutdown()
+        assert pool.closed
+        with pytest.raises(RuntimeError):
+            pool.submit(0, sorted, [3, 1])
+
+
+class TestShardPoolInterruptPropagation:
+    """Interrupts must escape pool construction (regression).
+
+    The fleet build used to wrap everything in a broad handler, so a
+    Ctrl-C during shard spawn was swallowed by the caller's fallback
+    path.  Interrupts now clean up the partial fleet and re-raise, and
+    so do ordinary failures.
+    """
+
+    @staticmethod
+    def _executor_factory(created, fail_with):
+        """Fake ``ProcessPoolExecutor``: first call records, second raises."""
+
+        def make(*, max_workers, initializer=None, initargs=()):
+            if created:
+                raise fail_with("second shard failed to start")
+            fake = type(
+                "FakeExecutor", (), {"shutdowns": None, "shutdown": None}
+            )()
+            fake.shutdowns = []
+            fake.shutdown = lambda wait=True: fake.shutdowns.append(wait)
+            created.append(fake)
+            return fake
+
+        return make
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_propagates_with_cleanup(self, monkeypatch, interrupt):
+        created: list = []
+        monkeypatch.setattr(
+            "repro.shardpool.ProcessPoolExecutor",
+            self._executor_factory(created, interrupt),
+        )
+        with pytest.raises(interrupt):
+            ShardPool(None, [(), ()])
+        # The half-built fleet was discarded without waiting on workers.
+        assert [fake.shutdowns for fake in created] == [[False]]
+
+    def test_ordinary_failure_also_cleans_and_raises(self, monkeypatch):
+        created: list = []
+        monkeypatch.setattr(
+            "repro.shardpool.ProcessPoolExecutor",
+            self._executor_factory(created, RuntimeError),
+        )
+        with pytest.raises(RuntimeError):
+            ShardPool(None, [(), ()])
+        assert [fake.shutdowns for fake in created] == [[False]]
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +456,32 @@ class TestPoolLadder:
         ) as server:
             with pytest.raises(RequestTimeout):
                 server.serve_requests([("doc-0", probes["doc-0"][0])])
+
+    def test_hung_worker_through_front_end_takes_the_ladder(self, fleet):
+        """Regression: a hung pool future used to leave the front end's
+        request pending and ``close()`` blocked forever; the wait is now
+        bounded by ``result_timeout`` and counts as a shard crash."""
+        spec, _ = fleet
+        xpath = "*//b"  # nonempty on doc-0, unlike the sampled probes
+        policy = ScriptedFaultPolicy(submit={0: FaultAction("hang")})
+
+        async def go(server):
+            front = server.serve(default_timeout=0.5)
+            future = await front.submit("doc-0", xpath)
+            # The test's own bounds: a regression fails, never hangs.
+            answer = await asyncio.wait_for(future, 30)
+            await asyncio.wait_for(front.close(), 30)
+            return answer, front.counters()
+
+        with CatalogServer(
+            spec, workers=1, result_timeout=0.5, fault_policy=policy
+        ) as server:
+            answer, counters = asyncio.run(go(server))
+        assert answer and answer == direct_answers(spec, "doc-0", [xpath])[0]
+        assert counters["shard_crashes"] == 1
+        assert counters["retries"] == 1
+        assert counters["inline_degrades"] == 0
+        assert counters["served"] == 1
 
     def test_result_timeout_validated(self, fleet):
         spec, _ = fleet
