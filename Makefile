@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-all docs-check serve-check
+.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-all docs-check serve-check trace-check
 
 ## Full local gate: lint, the tier-1 suite, docs drift, the benchmark
-## floors (perf + view-plan ratios) and the end-to-end serving check —
-## everything a PR must keep green.
-test: lint test-unit docs-check bench-check serve-check
+## floors (perf + view-plan ratios) and the end-to-end serving and
+## tracing checks — everything a PR must keep green.
+test: lint test-unit docs-check bench-check serve-check trace-check
 
 ## Tier-1 test suite alone (the driver's gate).
 test-unit:
@@ -66,11 +66,16 @@ docs-check:
 
 ## End-to-end serving check: a short run of every perfbench workload
 ## (inline, hot, pool, replicas) with each answer checked against
-## direct evaluation.  Fails unless the run exits 0 and its last line
-## reports "correct": true.
-serve-check:
-	@out=$$($(PYTHON) perfbench/run.py --workload all --seconds 4) \
-		|| { printf '%s\n' "$$out"; echo "serve-check: run failed" >&2; exit 1; }; \
+## direct evaluation.  trace-check makes the same run with perfbench's
+## outside-in tracer installed (it patches serving entry points and
+## reads their arguments by position), printing each workload's
+## per-layer reconciliation line.  Each fails unless the run exits 0
+## and its last line reports "correct": true.
+serve-check: PERFBENCH_ARGS = --workload all --seconds 4
+trace-check: PERFBENCH_ARGS = --workload all --seconds 4 --trace 1
+serve-check trace-check:
+	@out=$$($(PYTHON) perfbench/run.py $(PERFBENCH_ARGS)) \
+		|| { printf '%s\n' "$$out"; echo "$@: run failed" >&2; exit 1; }; \
 	printf '%s\n' "$$out"; \
 	printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true' \
-		|| { echo 'serve-check: last line does not report "correct": true' >&2; exit 1; }
+		|| { echo '$@: last line does not report "correct": true' >&2; exit 1; }

@@ -44,6 +44,7 @@ from ..errors import CatalogError, UnknownDocumentError
 from ..faults import FaultPolicy
 from ..obs import current_registry, span
 from ..patterns.ast import Pattern
+from ..patterns.parse import parse_pattern
 from ..views.advisor import (
     advise_views,
     deserialize_selection,
@@ -310,6 +311,22 @@ class Catalog:
         """Answer a batch on one document through the engine's fold."""
         entry = self.entry(doc_id)
         return entry.engine.answer_many(queries, doc_id)
+
+    def answer_xpaths(
+        self, doc_id: str, xpaths: Sequence[str]
+    ) -> tuple[list[list[int]], list[str]]:
+        """The serving tier's batch step: XPaths in, encoded answers out.
+
+        Parses ``xpaths``, answers them through :meth:`answer_many` and
+        returns each answer as sorted preorder ids (:meth:`node_ids`)
+        together with its plan kind.  Every serving path — inline, pool
+        worker, degraded fallback, replica, writer — ends here, so all
+        of them return the same process-independent encoding.
+        """
+        queries = [parse_pattern(x) for x in xpaths]
+        batch = self.answer_many(doc_id, queries)
+        ids = [self.node_ids(doc_id, answer) for answer in batch.answers]
+        return ids, [plan.kind for plan in batch.plans]
 
     def route(
         self, requests: Sequence[tuple[str, Pattern]]

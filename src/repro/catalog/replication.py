@@ -61,9 +61,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import CatalogError, ReplicaLagError, ReplicaUnavailableError
-from ..faults import FaultPolicy
+from ..faults import FaultPolicy, raise_injected
 from ..obs import span
-from ..patterns.parse import parse_pattern
 from ..views.persist import SnapshotBackend
 from .catalog import Catalog
 from .server import CatalogSpec, build_catalog
@@ -267,26 +266,14 @@ class ReplicaSet:
             warm=backend.stats.selection_hits > selection_hits_before,
         )
 
-    def _maybe_fault(self, op: str, index: int) -> None:
-        """Raise the injected replica fault, if the policy scripts one.
-
-        ``crash``/``hang`` surface as
-        :class:`~repro.errors.ReplicaUnavailableError`; ``error``
-        raises the carried exception; ``delay`` advanced the policy's
-        clock already (the deterministic stand-in for a slow replica).
-        """
-        if self._fault_policy is None:
-            return
-        action = self._fault_policy.on_replica(op, index)
-        if action is None:
-            return
-        if action.kind in ("crash", "hang"):
-            raise ReplicaUnavailableError(
-                f"replica {index} {op} crashed (injected)"
+    def _inject(self, op: str, index: int) -> None:
+        """Apply the policy's fault, if any, to replica ``index``'s ``op``."""
+        if self._fault_policy is not None:
+            raise_injected(
+                self._fault_policy.on_replica(op, index),
+                ReplicaUnavailableError,
+                f"replica {index} {op}",
             )
-        if action.kind == "error":
-            assert action.exc is not None
-            raise action.exc
 
     def sync(self) -> dict[int, int]:
         """Ship the writer's log tail to every healthy replica.
@@ -304,7 +291,7 @@ class ReplicaSet:
                 continue
             # The next sync() pass retries the skipped ship.
             try:
-                self._maybe_fault("ship", replica.index)
+                self._inject("ship", replica.index)
             except ReplicaUnavailableError:  # noqa: REP001
                 self.stats.ship_failures += 1
                 continue
@@ -353,7 +340,7 @@ class ReplicaSet:
         replica = self._replicas[index]
         # A False return tells the caller to retry restart() later.
         try:
-            self._maybe_fault("ship", index)
+            self._inject("ship", index)
         except ReplicaUnavailableError:  # noqa: REP001
             self.stats.ship_failures += 1
             return False
@@ -393,20 +380,6 @@ class ReplicaSet:
                     "it"
                 )
 
-    def _serve_on(
-        self, replica: Replica, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        self._maybe_fault("serve", replica.index)
-        queries = [parse_pattern(x) for x in xpaths]
-        batch = replica.catalog.answer_many(doc_id, queries)
-        ids = [
-            replica.catalog.node_ids(doc_id, answer)
-            for answer in batch.answers
-        ]
-        replica.serves += len(xpaths)
-        self.stats.replica_answers += len(xpaths)
-        return ids, [plan.kind for plan in batch.plans]
-
     def _evict_and_retry(self, replica: Replica) -> None:
         """Evict a crashed replica; the dispatch loop retries a sibling."""
         replica.healthy = False
@@ -439,7 +412,10 @@ class ReplicaSet:
                     break
                 try:
                     self._check_lag(replica)
-                    result = self._serve_on(replica, doc_id, xpaths)
+                    self._inject("serve", replica.index)
+                    result = replica.catalog.answer_xpaths(doc_id, xpaths)
+                    replica.serves += len(xpaths)
+                    self.stats.replica_answers += len(xpaths)
                     scope.set(served_by=replica.index, failovers=failovers)
                     return result
                 except ReplicaLagError:
@@ -452,18 +428,9 @@ class ReplicaSet:
                     failovers += 1
             self.stats.writer_fallbacks += 1
             scope.set(served_by="writer", failovers=failovers)
-            return self._writer_inline(doc_id, xpaths)
-
-    def _writer_inline(
-        self, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        queries = [parse_pattern(x) for x in xpaths]
-        batch = self.writer.answer_many(doc_id, queries)
-        ids = [
-            self.writer.node_ids(doc_id, answer) for answer in batch.answers
-        ]
-        self.stats.writer_answers += len(xpaths)
-        return ids, [plan.kind for plan in batch.plans]
+            result = self.writer.answer_xpaths(doc_id, xpaths)
+            self.stats.writer_answers += len(xpaths)
+            return result
 
     def route(
         self, requests: Sequence[tuple[str, str]]

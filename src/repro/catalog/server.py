@@ -181,12 +181,7 @@ def _serve_in_worker(
 ) -> tuple[list[list[int]], list[str]]:
     """Answer one document group in a worker; returns (ids, plan kinds)."""
     assert _WORKER_CATALOG is not None, "worker initializer did not run"
-    queries = [parse_pattern(x) for x in xpaths]
-    batch = _WORKER_CATALOG.answer_many(doc_id, queries)
-    ids = [
-        _WORKER_CATALOG.node_ids(doc_id, answer) for answer in batch.answers
-    ]
-    return ids, [plan.kind for plan in batch.plans]
+    return _WORKER_CATALOG.answer_xpaths(doc_id, xpaths)
 
 
 @dataclass
@@ -274,11 +269,9 @@ class CatalogServer:
             for index, doc_id in enumerate(sorted(self._known))
         }
         self._closed = False
-        # Cumulative per-document served counts (sync and async paths
-        # both feed this) — the rebalancing groundwork's raw signal.
-        self._doc_load: dict[str, int] = {}
+        # The in-process catalog: inline mode serves from it; pool mode
+        # builds it on the first degrade (see _inline_catalog).
         self._catalog: Catalog | None = None
-        self._fallback: Catalog | None = None
         self._pool: ShardPool | None = None
         if workers == 0:
             self._catalog = build_catalog(spec)
@@ -356,7 +349,6 @@ class CatalogServer:
                 result.by_document[doc_id] = (
                     result.by_document.get(doc_id, 0) + len(indexes)
                 )
-                self._note_load(doc_id, len(indexes))
                 xpaths = [normalized[index][1] for index in indexes]
                 if self._pool is not None:
                     future = self._pool.submit(
@@ -364,8 +356,9 @@ class CatalogServer:
                     )
                     pending.append((future, doc_id, indexes))
                 else:
-                    assert self._catalog is not None
-                    ids, kinds = self._serve_inline(doc_id, xpaths)
+                    ids, kinds = self._inline_catalog().answer_xpaths(
+                        doc_id, xpaths
+                    )
                     self._scatter(result, indexes, ids, kinds)
         for future, doc_id, indexes in pending:
             # Bounded wait: a dead or wedged worker must surface as a
@@ -387,32 +380,18 @@ class CatalogServer:
         result.elapsed_seconds = time.perf_counter() - t0
         return result
 
-    def _serve_inline(
-        self, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        assert self._catalog is not None
-        queries = [parse_pattern(x) for x in xpaths]
-        batch = self._catalog.answer_many(doc_id, queries)
-        ids = [
-            self._catalog.node_ids(doc_id, answer) for answer in batch.answers
-        ]
-        return ids, [plan.kind for plan in batch.plans]
+    def _inline_catalog(self) -> Catalog:
+        """The in-process catalog inline serving and degrading share.
 
-    def _degraded_inline(
-        self, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        """Last rung of the failure ladder: serve from an in-process
-        catalog rebuilt from the spec (built lazily on first degrade,
-        then kept warm for subsequent degraded batches)."""
-        if self._fallback is None:
-            self._fallback = build_catalog(self.spec)
-        queries = [parse_pattern(x) for x in xpaths]
-        batch = self._fallback.answer_many(doc_id, queries)
-        ids = [
-            self._fallback.node_ids(doc_id, answer)
-            for answer in batch.answers
-        ]
-        return ids, [plan.kind for plan in batch.plans]
+        Built at construction in inline mode (``workers=0``); in pool
+        mode, built from the spec on the failure ladder's first degrade
+        and kept warm for later degraded batches.
+        """
+        if self._closed:
+            raise CatalogError("CatalogServer is closed")
+        if self._catalog is None:
+            self._catalog = build_catalog(self.spec)
+        return self._catalog
 
     # ------------------------------------------------------------------
     # Async front end
@@ -478,45 +457,6 @@ class CatalogServer:
     # ------------------------------------------------------------------
     # Reporting / lifecycle
     # ------------------------------------------------------------------
-    def _note_load(self, doc_id: str, count: int) -> None:
-        """Accumulate per-document throughput (both serving paths)."""
-        self._doc_load[doc_id] = self._doc_load.get(doc_id, 0) + count
-
-    def stats(self) -> dict:
-        """Cumulative load counters: per shard and per document.
-
-        ``shard_load`` aggregates every request dispatched so far by
-        the document's affine shard; ``document_load`` keeps the
-        per-document breakdown.  Both accumulate across
-        :meth:`serve_requests` calls *and* async front-end dispatches —
-        the raw signal hot-document rebalancing will act on.
-        """
-        shard_load: dict[int, int] = {}
-        for doc_id, count in self._doc_load.items():
-            shard = self._shard_of[doc_id]
-            shard_load[shard] = shard_load.get(shard, 0) + count
-        return {
-            "requests_served": sum(self._doc_load.values()),
-            "shard_load": dict(sorted(shard_load.items())),
-            "document_load": dict(sorted(self._doc_load.items())),
-        }
-
-    def rebalance_hint(self, top: int = 3) -> list[tuple[int, str, int]]:
-        """The most-loaded ``(shard, document, requests)`` triples.
-
-        Rebalancing groundwork only — no live migration yet.  Sorted by
-        descending load (ties broken by document id for determinism);
-        an operator (or a future rebalancer) moves the top documents
-        off their shards first.
-        """
-        ranked = sorted(
-            self._doc_load.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [
-            (self._shard_of[doc_id], doc_id, count)
-            for doc_id, count in ranked[:top]
-        ]
-
     def counters(self) -> dict:
         """The inline catalog's deterministic counters.
 
@@ -524,7 +464,7 @@ class CatalogServer:
         counters in their own address space, which is exactly why the
         deterministic mode exists.
         """
-        if self._catalog is None:
+        if self._catalog is None or self._pool is not None:
             raise CatalogError(
                 "counters() requires the deterministic inline mode "
                 "(workers=0); pool workers keep theirs per-process"
@@ -541,9 +481,6 @@ class CatalogServer:
         if self._catalog is not None:
             self._catalog.close()
             self._catalog = None
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
 
     def __enter__(self) -> "CatalogServer":
         return self

@@ -24,8 +24,9 @@ client coroutines and the serving machinery.  The pieces:
 * **Failure ladder** — a batch whose shard died
   (:class:`~repro.errors.ShardCrashError` / ``BrokenProcessPool``) is
   retried **once** on a restarted shard; a second death degrades the
-  batch to an inline catalog rebuilt from the spec in-process.  Every
-  rung is counted (:class:`ServeStats`), and the fault-injection seam
+  batch to the server's in-process catalog, built from the spec on the
+  first degrade (inline mode, with no worker to degrade from, fails
+  the batch typed instead).  Every rung is counted (:class:`ServeStats`), and the fault-injection seam
   (:mod:`repro.faults`) drives each rung deterministically in tests.
 * **Graceful drain** — :meth:`AsyncFrontEnd.close` stops admission,
   serves (or sheds, per deadline) everything already queued, and
@@ -36,8 +37,8 @@ Answers are **sorted preorder indexes**, the same process-independent
 encoding :meth:`CatalogServer.serve_requests
 <repro.catalog.server.CatalogServer.serve_requests>` returns — for any
 interleaving of admits, timeouts and faults, a surviving request's
-answer is bit-identical to the synchronous inline path's (the property
-suite in ``tests/test_serve_async.py`` asserts exactly that).
+answer is exactly its direct evaluation (the property suite in
+``tests/test_serve_async.py`` asserts exactly that).
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ from ..errors import (
     ServingError,
     ShardCrashError,
 )
+from ..faults import raise_injected
 from ..obs import adopt, current_registry, current_tracer, span
 from ..obs.tracing import OpenSpan
 from ..patterns.ast import Pattern
 from ..patterns.serialize import to_xpath
+from .server import _serve_in_worker
 
-if TYPE_CHECKING:  # import cycle: server builds front ends
+if TYPE_CHECKING:
     from .replication import ReplicaSet
     from .server import CatalogServer
 
@@ -479,16 +482,18 @@ class AsyncFrontEnd:
                         req.future.set_result(answer)
 
     async def _execute(
-        self, doc_id: str, xpaths: list[str], scope=None
+        self, doc_id: str, xpaths: list[str], scope
     ) -> tuple[list[list[int]], list[str]]:
         """One batch through the shard pool, with retry-once + degrade.
 
-        Ladder: submit → (shard died) restart + retry once → (died
-        again) degrade to an inline catalog rebuilt from the spec.
-        Each pool wait is bounded by the server's ``result_timeout``;
-        an expired wait counts as a shard death and takes the same
-        ladder.  Inline mode consults the same fault policy, so every
-        rung tests without worker processes.
+        Ladder: attempt → (shard died) restart + retry once → (died
+        again) degrade to the server's in-process catalog, built from
+        the spec on the first degrade.  Each pool wait is bounded by
+        the server's ``result_timeout``; an expired wait counts as a
+        shard death and takes the same ladder.  Inline mode consults
+        the same fault policy and runs the same loop synchronously,
+        except that a second death is raised (there is no worker to
+        degrade *from*).
 
         With a replica set attached, reads dispatch through its own
         ladder instead (crash → evict → sibling → writer-inline; see
@@ -498,76 +503,45 @@ class AsyncFrontEnd:
         ``error`` actions propagate.
         """
         server = self._server
-        server._note_load(doc_id, len(xpaths))
-        if scope is None:
-            scope = span("serve.unparented")  # no-op: no open parents
         if self._replicas is not None:
             scope.set(source="replica")
             return self._replicas.execute(doc_id, xpaths)
-        if server._pool is None:
-            scope.set(source="inline")
-            try:
-                return self._inline_with_faults(server, doc_id, xpaths)
-            except ShardCrashError:
-                # Inline "shard": retry-once means re-executing.
-                self.stats.shard_crashes += 1
-                self.stats.retries += 1
-                scope.set(retries=1)
-                try:
-                    return self._inline_with_faults(server, doc_id, xpaths)
-                except ShardCrashError:
-                    # Count the second crash too (parity with the pool
-                    # ladder); with no worker to degrade *from*, inline
-                    # mode surfaces it typed instead.
-                    self.stats.shard_crashes += 1
-                    raise
+        pool = server._pool
         shard = server._shard_of[doc_id]
-        scope.set(source="pool", shard=shard)
-        try:
-            return await self._pool_round_trip(shard, doc_id, xpaths)
-        except _SHARD_DEATHS:
-            self.stats.shard_crashes += 1
-            self.stats.retries += 1
-            scope.set(retries=1)
+        if pool is None:
+            scope.set(source="inline")
+            deaths = (ShardCrashError,)
+        else:
+            scope.set(source="pool", shard=shard)
+            deaths = _SHARD_DEATHS
+        for attempt in (0, 1):
             try:
-                server._pool.restart(shard)
-                return await self._pool_round_trip(shard, doc_id, xpaths)
-            except _SHARD_DEATHS:
-                self.stats.shard_crashes += 1
-                self.stats.inline_degrades += 1
-                scope.set(source="degraded_inline")
-                return server._degraded_inline(doc_id, xpaths)
-
-    async def _pool_round_trip(
-        self, shard: int, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        """Submit one batch to its shard and await it, bounded by
-        ``result_timeout`` (a hung worker raises ``TimeoutError``)."""
-        from .server import _serve_in_worker  # late: import cycle
-
-        server = self._server
-        return await asyncio.wait_for(
-            asyncio.wrap_future(
-                server._pool.submit(shard, _serve_in_worker, doc_id, xpaths)
-            ),
-            server.result_timeout,
-        )
-
-    @staticmethod
-    def _inline_with_faults(
-        server: "CatalogServer", doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
-        """Inline execution behind the same fault seam as the pool."""
-        policy = server._fault_policy
-        if policy is not None:
-            action = policy.on_submit(server._shard_of[doc_id])
-            if action is not None:
-                if action.kind in ("crash", "hang"):
-                    raise ShardCrashError(
-                        f"inline serve for {doc_id!r} crashed (injected)"
+                if pool is None:  # synchronous: nothing to await
+                    policy = server._fault_policy
+                    if policy is not None:
+                        raise_injected(
+                            policy.on_submit(shard),
+                            ShardCrashError,
+                            f"inline serve for {doc_id!r}",
+                        )
+                    return server._inline_catalog().answer_xpaths(
+                        doc_id, xpaths
                     )
-                if action.kind == "error":
-                    assert action.exc is not None
-                    raise action.exc
-                # "delay" advanced the policy's clock; proceed.
-        return server._serve_inline(doc_id, xpaths)
+                if attempt:
+                    pool.restart(shard)
+                return await asyncio.wait_for(
+                    asyncio.wrap_future(
+                        pool.submit(shard, _serve_in_worker, doc_id, xpaths)
+                    ),
+                    server.result_timeout,
+                )
+            except deaths:
+                self.stats.shard_crashes += 1
+                if not attempt:
+                    self.stats.retries += 1
+                    scope.set(retries=1)
+                elif pool is None:
+                    raise
+        self.stats.inline_degrades += 1
+        scope.set(source="degraded_inline")
+        return server._inline_catalog().answer_xpaths(doc_id, xpaths)

@@ -12,26 +12,45 @@ serving components expose for exactly that:
   "the worker was slow" or "the deadline passed while queued" are plain
   function calls, not sleeps.
 * :class:`FaultAction` — one injected fault: a simulated worker
-  **crash**, an arbitrary **error**, a **hang** (a future that never
-  completes), or a **delay** (advances the policy's virtual clock, the
+  **crash**, an arbitrary **error**, a **hang** (a worker that never
+  answers), or a **delay** (advances the policy's virtual clock, the
   deterministic stand-in for a slow worker).
 * :class:`FaultPolicy` — the hook contract.
   :meth:`~FaultPolicy.on_submit` is consulted by
   :class:`~repro.shardpool.ShardPool` before every task submission (and
   by the async front end's inline execution path, so single-process
   tests exercise the same retry machinery);
-  :meth:`~FaultPolicy.on_backend` is consulted by
+  :meth:`~FaultPolicy.on_replica` by the replicated read tier before
+  each replica serve and ship; :meth:`~FaultPolicy.on_backend` by
   :class:`~repro.catalog.sqlite_backend.SqliteBackend` before every
   database operation.  The base policy injects nothing — production
   code paths pay one ``is None`` check.
 * :class:`ScriptedFaultPolicy` — the test implementation: faults keyed
   by deterministic call indexes, with an injection log for assertions.
+* :func:`raise_injected` — the one translation from an action to an
+  exception at a synchronous call site.
 
-The contract consumers must honor: a ``crash`` surfaces as
-:class:`~repro.errors.ShardCrashError`, an ``error`` surfaces as the
-carried exception, a ``delay`` advances the policy's clock *before* the
-real work runs, and a ``hang`` yields a future that never resolves
-(pool submissions only — callers guard with bounded ``result`` waits).
+The contract, by consumer and fault kind:
+
+================  ===========================  ==================  =========  =========
+consumer          ``crash``                    ``hang``            ``error``  ``delay``
+================  ===========================  ==================  =========  =========
+shard pool        a failed future carrying     a future that       the        the clock
+                  ``ShardCrashError``; the     never resolves;     carried    advances,
+                  shard stays down until       waits are bounded   exception  then the
+                  ``restart``                  by                             work
+                                               ``result_timeout``             proceeds
+inline front end  ``ShardCrashError``          as ``crash``        as above   as above
+replica           ``ReplicaUnavailableError``  as ``crash``        as above   as above
+SQLite backend    ignored                      ignored             as above   as above
+================  ===========================  ==================  =========  =========
+
+Only the shard pool has a future to leave pending, so it is the one
+consumer where ``hang`` differs from ``crash``; the synchronous
+consumers raise at once through :func:`raise_injected`.  The SQLite
+backend raises the carried exception inside its protected region, so
+it degrades exactly as a real ``sqlite3.Error`` would (a miss, or a
+skipped write).
 """
 
 from __future__ import annotations
@@ -43,6 +62,7 @@ __all__ = [
     "FaultPolicy",
     "ScriptedFaultPolicy",
     "VirtualClock",
+    "raise_injected",
 ]
 
 #: The fault kinds consumers understand (see module docstring).
@@ -96,6 +116,25 @@ class FaultAction:
             raise ValueError("error faults must carry an exception")
 
 
+def raise_injected(
+    action: FaultAction | None, unavailable: type[Exception], where: str
+) -> None:
+    """Apply ``action`` at a synchronous call site (see the contract).
+
+    ``crash`` and ``hang`` raise ``unavailable`` (the caller's error
+    type) as ``"<where> crashed (injected)"``; ``error`` raises the
+    carried exception; ``delay`` (the policy already advanced its
+    clock) and ``None`` return, and the real work proceeds.
+    """
+    if action is None:
+        return
+    if action.kind in ("crash", "hang"):
+        raise unavailable(f"{where} crashed (injected)")
+    if action.kind == "error":
+        assert action.exc is not None
+        raise action.exc
+
+
 class FaultPolicy:
     """No-fault base policy; the hook contract for the serving tier.
 
@@ -120,12 +159,11 @@ class FaultPolicy:
 
         ``op`` names the operation: ``serve`` (before a replica answers
         a batch) or ``ship`` (before a log tail / snapshot is shipped to
-        the replica during sync or restart).  A ``crash``/``hang``
-        surfaces as :class:`~repro.errors.ReplicaUnavailableError` and
-        evicts the replica; an ``error`` surfaces as the carried
-        exception; a ``delay`` advances the policy's clock first (the
-        deterministic stand-in for a slow replica — how lag-fencing
-        tests age a replica past ``max_lag_seconds``).
+        the replica during sync or restart).  A ``crash`` or ``hang``
+        evicts a serving replica and leaves a shipped-to one stale; a
+        ``delay`` is how lag-fencing tests age a replica past
+        ``max_lag_seconds``.  See the module docstring for the rest of
+        the contract.
         """
         return None
 

@@ -29,3 +29,12 @@ def direct_answers(
         sorted(position[id(node)] for node in evaluate(parse_pattern(x), tree))
         for x in xpaths
     ]
+
+
+def direct_request_answers(
+    spec: CatalogSpec, requests: Sequence[tuple[str, str]]
+) -> list[list[int]]:
+    """``P(t)`` for each ``(doc_id, xpath)`` request, in request order."""
+    return [
+        direct_answers(spec, doc_id, [xpath])[0] for doc_id, xpath in requests
+    ]

@@ -498,56 +498,6 @@ class TestCatalogServer:
         assert result.counters() == baseline.counters()
 
 
-class TestShardLoadStats:
-    """PR 9 groundwork: per-shard throughput and rebalance hints."""
-
-    def test_stats_aggregate_by_affine_shard(self, db_path):
-        docs, streams = small_fleet()
-        spec = fleet_spec(db_path, docs, streams)
-        requests = interleaved(docs, streams, 10)
-        with CatalogServer(spec, workers=0) as server:
-            assert server.stats()["requests_served"] == 0
-            server.serve_requests(requests, batch_size=8)
-            stats = server.stats()
-        assert stats["requests_served"] == len(requests)
-        # Inline mode maps every document to shard 0.
-        assert stats["shard_load"] == {0: len(requests)}
-        assert stats["document_load"] == {
-            doc_id: 10 for doc_id in docs
-        }
-
-    def test_stats_accumulate_across_calls(self, db_path):
-        docs, streams = small_fleet(count=1)
-        spec = fleet_spec(db_path, docs, streams)
-        requests = interleaved(docs, streams, 5)
-        with CatalogServer(spec, workers=0) as server:
-            server.serve_requests(requests)
-            server.serve_requests(requests)
-            assert server.stats()["requests_served"] == 2 * len(requests)
-
-    def test_rebalance_hint_ranks_hot_documents(self, db_path):
-        docs, streams = small_fleet()
-        spec = fleet_spec(db_path, docs, streams)
-        hot, cold = sorted(docs)
-        requests = interleaved(docs, streams, 5)
-        requests += [(hot, streams[hot].queries[0])] * 7
-        with CatalogServer(spec, workers=0) as server:
-            server.serve_requests(requests, batch_size=4)
-            hints = server.rebalance_hint(top=2)
-        assert [entry[1] for entry in hints] == [hot, cold]
-        assert hints[0] == (0, hot, 12)
-        assert hints[0][2] > hints[1][2]
-
-    def test_rebalance_hint_breaks_ties_deterministically(self, db_path):
-        docs, streams = small_fleet()
-        spec = fleet_spec(db_path, docs, streams)
-        requests = interleaved(docs, streams, 6)  # equal load per doc
-        with CatalogServer(spec, workers=0) as server:
-            server.serve_requests(requests)
-            hints = server.rebalance_hint()
-        assert [entry[1] for entry in hints] == sorted(docs)
-
-
 # ----------------------------------------------------------------------
 # Catalog replay harness
 # ----------------------------------------------------------------------

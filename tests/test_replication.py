@@ -26,7 +26,7 @@ from repro.workloads.replay import ServeReplayConfig, replay_serve
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
-from .oracle import direct_answers
+from .oracle import direct_answers, direct_request_answers
 
 pytestmark = pytest.mark.replica
 
@@ -317,9 +317,7 @@ def _run_failover_soak(fleet, root):
             ("serve", 5): FaultAction("crash"),
         }
     )
-    expected = [
-        direct_answers(spec, doc_id, [xpath])[0] for doc_id, xpath in requests
-    ]
+    expected = direct_request_answers(spec, requests)
     with CatalogServer(spec, workers=0) as server:
         with ReplicaSet(
             spec, replicas=2, root=root, fault_policy=policy

@@ -4,8 +4,8 @@ Everything here is deterministic: deadlines run against an injected
 :class:`~repro.faults.VirtualClock` (time moves only when a test says
 so), crashes are armed through the fault seam, and the property suite
 asserts the one invariant every interleaving must keep — a surviving
-request's answer is bit-identical to the synchronous inline path's.
-No ``time.sleep`` anywhere.
+request's answer is exactly its direct evaluation ``P(t)``.  No
+``time.sleep`` anywhere.
 """
 
 from __future__ import annotations
@@ -24,30 +24,40 @@ from repro.errors import (
     UnknownDocumentError,
 )
 from repro.faults import FaultAction, FaultPolicy, VirtualClock
+from repro.patterns.serialize import to_xpath
 from repro.workloads.replay import ServeReplayConfig, replay_serve
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
+from .oracle import direct_request_answers
 from .strategies import arrival_streams
 
 pytestmark = pytest.mark.async_serve
 
 DOCUMENTS = 2
-QUERY_POOL = 4
+SAMPLED = 4
+#: Appended to every document's pool, after the sampled queries (which
+#: keep their indexes): the sampled templates select almost nothing on
+#: 130-node trees, so without these the direct-evaluation checks would
+#: mostly compare empty answers.
+BROAD = ("*//b", "*//a/*")
+QUERY_POOL = SAMPLED + len(BROAD)
 
 
 @pytest.fixture(scope="module")
 def fleet():
-    """A small two-document spec plus a per-document query pool."""
+    """A small two-document spec plus a per-document XPath pool."""
     documents = []
     queries = {}
     for index in range(DOCUMENTS):
         doc_id = f"doc-{index}"
         tree = random_tree(130, seed=500 + index)
         sample = sample_stream(
-            StreamConfig(length=QUERY_POOL, templates=4), seed=500 + index
+            StreamConfig(length=SAMPLED, templates=4), seed=500 + index
         )
-        queries[doc_id] = [entry.query for entry in sample.entries]
+        queries[doc_id] = [
+            to_xpath(entry.query) for entry in sample.entries
+        ] + list(BROAD)
         documents.append(
             DocumentSpec.from_tree(
                 doc_id, tree, sample.templates, sample.template_weights()
@@ -81,14 +91,13 @@ class ArmedCrashPolicy(FaultPolicy):
 
 class TestAdmission:
     def test_round_trip_matches_inline(self, fleet, server):
-        _, queries = fleet
+        spec, queries = fleet
         requests = [
             (doc_id, query)
             for position in range(QUERY_POOL)
             for doc_id, pool in sorted(queries.items())
             for query in [pool[position]]
         ]
-        baseline = server.serve_requests(requests, batch_size=4)
 
         async def go():
             async with server.serve(batch_size=4) as front:
@@ -100,7 +109,7 @@ class TestAdmission:
                 return answers, front.counters()
 
         answers, counters = asyncio.run(go())
-        assert answers == baseline.answer_ids
+        assert answers == direct_request_answers(spec, requests)
         assert counters["admitted"] == len(requests)
         assert counters["served"] == len(requests)
         assert counters["rejected"] == 0
@@ -127,11 +136,10 @@ class TestAdmission:
         assert stats["admitted"] == 1
 
     def test_overflow_wait_applies_backpressure(self, fleet, server):
-        _, queries = fleet
+        spec, queries = fleet
         requests = [
             ("doc-0", queries["doc-0"][i % QUERY_POOL]) for i in range(6)
         ]
-        baseline = server.serve_requests(requests, batch_size=1)
 
         async def go():
             async with server.serve(
@@ -146,7 +154,7 @@ class TestAdmission:
                 return answers, front.counters()
 
         answers, counters = asyncio.run(go())
-        assert answers == baseline.answer_ids
+        assert answers == direct_request_answers(spec, requests)
         # The bound held: never more than max_pending queued at once.
         assert counters["max_queue_depth"] == 1
         assert counters["admitted"] == len(requests)
@@ -230,7 +238,7 @@ class TestDeadlines:
         assert counters["batches"] == 0
 
     def test_default_timeout_applies_when_unspecified(self, fleet, server):
-        _, queries = fleet
+        spec, queries = fleet
         clock = VirtualClock()
 
         async def go():
@@ -242,27 +250,24 @@ class TestDeadlines:
                 with pytest.raises(RequestTimeout):
                     await doomed
                 # A fresh request after the advance still serves fine.
-                answer = await front.request("doc-0", queries["doc-0"][0])
+                answer = await front.request("doc-0", BROAD[0])
                 return answer, front.counters()
 
         answer, counters = asyncio.run(go())
         assert counters["shed_deadline"] == 1
         assert counters["served"] == 1
-        assert answer == server.serve_requests(
-            [("doc-0", queries["doc-0"][0])]
-        ).answer_ids[0]
+        assert answer == direct_request_answers(spec, [("doc-0", BROAD[0])])[0]
 
     def test_survivors_unaffected_by_sheds(self, fleet, server):
         """Mixed batch: expired requests shed, the rest answer normally."""
-        _, queries = fleet
+        spec, queries = fleet
         clock = VirtualClock()
         pool = queries["doc-0"]
-        baseline = server.serve_requests([("doc-0", pool[1])])
 
         async def go():
             async with server.serve(clock=clock, batch_size=8) as front:
                 doomed = await front.submit("doc-0", pool[0], timeout=1.0)
-                safe = await front.submit("doc-0", pool[1])
+                safe = await front.submit("doc-0", BROAD[1])
                 clock.advance(2.0)
                 answer = await safe
                 with pytest.raises(RequestTimeout):
@@ -270,7 +275,7 @@ class TestDeadlines:
                 return answer, front.counters()
 
         answer, counters = asyncio.run(go())
-        assert answer == baseline.answer_ids[0]
+        assert answer == direct_request_answers(spec, [("doc-0", BROAD[1])])[0]
         assert counters["shed_deadline"] == 1
         assert counters["served"] == 1
         assert ("doc-0", 1, 1) in [
@@ -323,13 +328,12 @@ class TestFairness:
 
 class TestDrain:
     def test_close_resolves_every_future(self, fleet, server):
-        _, queries = fleet
+        spec, queries = fleet
         requests = [
             (doc_id, pool[i])
             for doc_id, pool in sorted(queries.items())
             for i in range(QUERY_POOL)
         ]
-        baseline = server.serve_requests(requests)
 
         async def go():
             front = server.serve(batch_size=3)
@@ -343,7 +347,7 @@ class TestDrain:
             return [future.result() for future in futures], front.counters()
 
         answers, counters = asyncio.run(go())
-        assert answers == baseline.answer_ids
+        assert answers == direct_request_answers(spec, requests)
         assert counters["served"] == len(requests)
 
     def test_close_is_idempotent(self, fleet, server):
@@ -359,22 +363,20 @@ class TestDrain:
         asyncio.run(go())
 
     def test_drain_waits_without_closing(self, fleet, server):
-        _, queries = fleet
+        spec, queries = fleet
+        requests = [("doc-0", queries["doc-0"][0]), ("doc-0", BROAD[0])]
 
         async def go():
             async with server.serve() as front:
-                future = await front.submit("doc-0", queries["doc-0"][0])
+                future = await front.submit(*requests[0])
                 await front.drain()
                 assert future.done()
                 # Still open: more work is accepted after a drain.
-                answer = await front.request("doc-0", queries["doc-0"][1])
+                answer = await front.request(*requests[1])
                 return future.result(), answer
 
         first, second = asyncio.run(go())
-        baseline = server.serve_requests(
-            [("doc-0", queries["doc-0"][0]), ("doc-0", queries["doc-0"][1])]
-        )
-        assert [first, second] == baseline.answer_ids
+        assert [first, second] == direct_request_answers(spec, requests)
 
 
 class TestServeConfigValidation:
@@ -395,9 +397,9 @@ class TestServeConfigValidation:
 @given(events=arrival_streams(documents=DOCUMENTS, queries=QUERY_POOL))
 def test_property_survivor_answers_bit_identical(fleet, events):
     """For ANY interleaving of submits, clock advances and injected
-    crashes: every request whose future carries an answer got the exact
-    answer the synchronous inline path gives — admission control,
-    fairness, shedding and the retry ladder never corrupt a survivor."""
+    crashes: every request whose future carries an answer got exactly
+    its direct evaluation — admission control, fairness, shedding and
+    the retry ladder never corrupt a survivor."""
     spec, queries = fleet
     clock = VirtualClock()
     policy = ArmedCrashPolicy()
@@ -436,13 +438,9 @@ def test_property_survivor_answers_bit_identical(fleet, events):
 
     with CatalogServer(spec, workers=0, fault_policy=policy) as server:
         survivors, counters = asyncio.run(go(server))
-        if survivors:
-            baseline = server.serve_requests(
-                [(doc_id, query) for doc_id, query, _ in survivors]
-            )
-            assert [
-                answer for _, _, answer in survivors
-            ] == baseline.answer_ids
+    assert [answer for _, _, answer in survivors] == direct_request_answers(
+        spec, [(doc_id, query) for doc_id, query, _ in survivors]
+    )
     assert counters["served"] == len(survivors)
     assert counters["shard_crashes"] == policy.crashes
 
