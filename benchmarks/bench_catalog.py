@@ -286,8 +286,14 @@ def _fragment_candidates(template):
                 yield pair
 
 
-def measure_serving() -> dict:
-    """Inline vs pooled serving throughput on one interleaved stream."""
+def _serving_spec(db_path: str):
+    """The serving stream: its catalog spec, requests and fragment views.
+
+    The spec carries the advised templates plus the curated fragment
+    views, with ``tractable_only=False``.  Requests interleave the
+    documents round-robin, so the first ``DOCUMENTS`` hold one request
+    per document.
+    """
     docs, advisor, serving = _fleet()
     requests = []
     for position in range(SERVE_STREAM.length):
@@ -300,23 +306,66 @@ def measure_serving() -> dict:
         )
         for doc_id in docs
     }
+    spec = CatalogSpec(
+        documents=tuple(
+            DocumentSpec.from_tree(
+                doc_id,
+                tree,
+                advisor[doc_id].templates,
+                advisor[doc_id].template_weights(),
+                views=fragments[doc_id],
+            )
+            for doc_id, tree in docs.items()
+        ),
+        db_path=db_path,
+        max_views=MAX_VIEWS,
+        tractable_only=False,
+    )
+    return spec, requests, fragments
 
+
+def _serve_inline(spec: CatalogSpec, requests):
+    """One inline pass over ``requests``: the result and its wall seconds."""
+    with CatalogServer(spec, workers=0) as server:
+        t0 = time.perf_counter()
+        inline = server.serve_requests(requests, batch_size=SERVE_BATCH)
+        return inline, time.perf_counter() - t0
+
+
+def _plan_ratios(plan_kinds) -> dict:
+    """Shares of rewritten plans (single-view or intersection) and of
+    intersection plans."""
+    return {
+        "view_plan_ratio": round(
+            sum(1 for kind in plan_kinds if kind in ("view", "intersection"))
+            / len(plan_kinds),
+            3,
+        ),
+        "intersection_plan_ratio": round(
+            sum(1 for kind in plan_kinds if kind == "intersection")
+            / len(plan_kinds),
+            3,
+        ),
+    }
+
+
+def measure_serving_ratios() -> dict:
+    """The inline half of :func:`measure_serving`: its two plan ratios.
+
+    They count plans, not time, so ``bench_ratio_guard.py`` re-measures
+    them on every run instead of trusting the committed record.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        db_path = str(Path(tmp) / "catalog.db")
-        spec = CatalogSpec(
-            documents=tuple(
-                DocumentSpec.from_tree(
-                    doc_id,
-                    tree,
-                    advisor[doc_id].templates,
-                    advisor[doc_id].template_weights(),
-                    views=fragments[doc_id],
-                )
-                for doc_id, tree in docs.items()
-            ),
-            db_path=db_path,
-            max_views=MAX_VIEWS,
-            tractable_only=False,
+        spec, requests, _ = _serving_spec(str(Path(tmp) / "catalog.db"))
+        inline, _ = _serve_inline(spec, requests)
+    return _plan_ratios(inline.plan_kinds)
+
+
+def measure_serving() -> dict:
+    """Inline vs pooled serving throughput on one interleaved stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, requests, fragments = _serving_spec(
+            str(Path(tmp) / "catalog.db")
         )
         result = {
             "requests": len(requests),
@@ -328,36 +377,16 @@ def measure_serving() -> dict:
             },
             "pools": {},
         }
-        with CatalogServer(spec, workers=0) as server:
-            t0 = time.perf_counter()
-            inline = server.serve_requests(requests, batch_size=SERVE_BATCH)
-            inline_sec = time.perf_counter() - t0
+        inline, inline_sec = _serve_inline(spec, requests)
         baseline = inline.counters()
         result["inline_queries_per_sec"] = round(len(requests) / inline_sec, 2)
-        # Rewritten plans of either kind: single-view or intersection.
-        result["view_plan_ratio"] = round(
-            sum(
-                1
-                for kind in inline.plan_kinds
-                if kind in ("view", "intersection")
-            )
-            / len(requests),
-            3,
-        )
-        result["intersection_plan_ratio"] = round(
-            sum(1 for kind in inline.plan_kinds if kind == "intersection")
-            / len(requests),
-            3,
-        )
+        result.update(_plan_ratios(inline.plan_kinds))
         for workers in POOL_SIZES:
             with CatalogServer(spec, workers=workers) as server:
                 # One request per document first: triggers each shard's
                 # worker build (a warm start from the SQLite database)
                 # outside the timed window.
-                server.serve_requests(
-                    [(doc_id, serving[doc_id].queries[0]) for doc_id in docs],
-                    batch_size=1,
-                )
+                server.serve_requests(requests[:DOCUMENTS], batch_size=1)
                 t0 = time.perf_counter()
                 pooled = server.serve_requests(
                     requests, batch_size=SERVE_BATCH

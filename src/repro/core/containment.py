@@ -22,6 +22,21 @@ Two engines are provided:
 
 :func:`contains` dispatches automatically and memoizes results.
 
+Dispatch order
+--------------
+An uncached pair ``p1 ⊑ p2`` is decided cheapest step first:
+
+1. **τ refutation** — ``τ(p1)`` is a model of ``p1`` labelled with
+   ``p1``'s Σ-labels plus one fresh label, so ``p1 ⋢ p2`` when ``p2``'s
+   root or output label is neither ``*`` nor ``p1``'s, or when ``p2``
+   has a Σ-label ``p1`` lacks.  No test is counted, no budget consulted.
+2. **Homomorphism tests** — decisive on the complete sub-fragments,
+   sufficient elsewhere.
+3. **Branch prune** of both sides (:func:`prune_subsumed_branches`).
+4. **Canonical models** under the caller's ``max_models`` budget.
+
+Weak tests skip step 1: a weak embedding need not keep the root.
+
 Performance architecture
 ------------------------
 Both engines run on **integer bitsets** (see
@@ -43,8 +58,9 @@ first use — and is a **bounded LRU** (default 65 536 entries, see
 ``[p ⊑ v for v in views]`` while sharing all ``p``-side setup (the
 maximal canonical tree, its postorder numbering, descendant ranges and
 ancestor masks) across every view with the same expansion bound.  The
-rewriting solver and the view-answering engine use it to amortize
-per-view setup.
+rewriting solver and the engine's intersection search use its lazy
+form, :class:`ContainmentBatch`, to amortize per-container setup while
+stopping early.
 
 On top of the per-batch sharing sits a **cross-call engine LRU**: built
 :class:`~repro.core.canonical.CanonicalEngine` instances are cached
@@ -596,6 +612,15 @@ def canonical_containment(
 # Public dispatching API
 # ----------------------------------------------------------------------
 
+def _tau_refutes(p1: Pattern, p2: Pattern) -> bool:
+    """Dispatch step 1: the labels show ``p2`` cannot embed into ``τ(p1)``."""
+    if p2.root.label not in (WILDCARD, p1.root.label):
+        return True
+    if p2.output.label not in (WILDCARD, p1.output.label):
+        return True
+    return not p2.labels() <= p1.labels()
+
+
 def _decide(
     p1: Pattern,
     p2: Pattern,
@@ -619,6 +644,8 @@ def _decide(
     would cost more than they do.
     """
     if not weak:
+        if _tau_refutes(p1, p2):
+            return False
         if homomorphism_complete(p1, p2):
             return hom_containment(p1, p2)
         if hom_containment(p1, p2):
@@ -644,11 +671,9 @@ def contains(
 ) -> bool:
     """Decide ``p1 ⊑ p2`` (Definition 2.2).  Complete on ``XP{//,[],*}``.
 
-    Strategy: if the pair fits a homomorphism-complete sub-fragment the
-    PTIME test decides; otherwise the homomorphism test is tried as a
-    sufficient condition before falling back to the canonical-model
-    procedure (τ-first, Gray-code incremental — see
-    :func:`canonical_containment`).
+    Strategy: the module's dispatch order — τ refutation, homomorphism
+    tests, branch prune, then the canonical-model procedure (τ-first,
+    Gray-code incremental — see :func:`canonical_containment`).
     """
     if p1.is_empty:
         return True
@@ -737,8 +762,7 @@ def contains_all(
     :func:`weakly_contains`) per view, but all ``p1``-side setup — the
     maximal canonical tree, postorder numbering, descendant ranges,
     ancestor masks — is built once per distinct expansion bound and
-    shared across the batch.  The rewriting solver and the view engine
-    use this to amortize per-view cost; for early-exit consumers use
+    shared across the batch.  For early-exit consumers use
     :class:`ContainmentBatch` directly.
     """
     batch = ContainmentBatch(

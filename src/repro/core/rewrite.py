@@ -287,21 +287,21 @@ class RewriteSolver:
         base Section 4 conditions on the instance itself, then on
         instances derived via the Section 5 transformations (the ``via``
         chain is encoded in the returned rule name, e.g.
-        ``prop-5.6+thm-4.16`` is exactly Corollary 5.7).
+        ``prop-5.6+thm-4.16`` is exactly Corollary 5.7).  Each level of
+        derived instances is checked before the next one is derived.
         """
-        instances = [_Instance(query, view, via="")]
-        frontier = instances
-        for _ in range(self.derived_depth):
-            next_frontier: list[_Instance] = []
+        frontier = [_Instance(query, view, via="")]
+        for level in range(self.derived_depth + 1):
+            if level:
+                frontier = [
+                    derived
+                    for instance in frontier
+                    for derived in self._derive(instance)
+                ]
             for instance in frontier:
-                next_frontier.extend(self._derive(instance))
-            instances.extend(next_frontier)
-            frontier = next_frontier
-
-        for instance in instances:
-            rule = self._base_certificate(instance.query, instance.view)
-            if rule is not None:
-                return rule if not instance.via else f"{instance.via}+{rule}"
+                rule = self._base_certificate(instance.query, instance.view)
+                if rule is not None:
+                    return _chain(instance.via, rule)
         return None
 
     def _base_certificate(self, query: Pattern, view: Pattern) -> str | None:

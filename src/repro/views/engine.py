@@ -21,12 +21,12 @@ Batched answering
 :meth:`QueryEngine.answer_many` answers a whole batch at once: duplicate
 queries are folded by ``memo_key`` so each *distinct* query is planned
 and executed exactly once (query streams repeat by design — the fold is
-usually large), every execution shares the store's per-document
-:class:`~repro.core.embedding.TreeIndex`, and each distinct query's
-view-equivalence prefilter runs as one
-:class:`~repro.core.containment.ContainmentBatch`-backed
-:func:`~repro.core.containment.contains_all` sweep over all undecided
-views.  The per-batch :class:`EngineStats` delta comes back on the
+usually large), and every execution shares the store's per-document
+:class:`~repro.core.embedding.TreeIndex`.  Planning decides each
+(query, view) pair once through the solver, whose Prop 3.1 prechecks
+refute most pairs with no containment test; only views whose root can
+match the query's enter an intersection search.  The per-batch
+:class:`EngineStats` delta comes back on the
 :class:`BatchAnswer`.  Serving loops live a layer up: the catalog's
 async front end (:mod:`repro.catalog.serving`) drains its request queue
 into :meth:`answer_many` batches.  An optional **cross-batch answer
@@ -64,7 +64,6 @@ from ..core.composition import compose
 from ..core.containment import (
     ContainmentBatch,
     contains,
-    contains_all,
     prune_subsumed_branches_memoized,
 )
 from ..core.embedding import evaluate, evaluate_forest
@@ -72,7 +71,7 @@ from ..core.intersect import merge_parts
 from ..core.rewrite import RewriteResult, RewriteSolver, RewriteStatus
 from ..errors import ContainmentBudgetError, ViewEngineError
 from ..obs import span
-from ..patterns.ast import Pattern, memo_epoch
+from ..patterns.ast import Pattern, WILDCARD, memo_epoch
 from ..xmltree.node import TNode
 from .store import ViewStore
 
@@ -129,8 +128,9 @@ class EngineStats:
     ``answer_cache_hits`` counts whole *answers* served from the
     cross-batch answer cache (disabled unless the engine was built with
     ``answer_cache_size > 0``).  ``intersection_attempts`` counts
-    intersection *searches* (run only when no single view answers and
-    not served from the per-engine intersection cache),
+    intersection *searches* that ran (only when no single view answers,
+    at least two views can match the query's root, and the per-engine
+    intersection cache has no entry),
     ``intersection_plans`` the searches that produced a verified plan,
     and ``intersection_answers`` plan executions.
     """
@@ -367,7 +367,11 @@ class QueryEngine:
     # Planning
     # ------------------------------------------------------------------
     def rewrite_against(self, query: Pattern, view_name: str) -> RewriteResult:
-        """Find (and cache) a rewriting of ``query`` using a named view."""
+        """Find (and cache) a rewriting of ``query`` using a named view.
+
+        A solver ``max_models`` overrun leaves the pair ``UNKNOWN`` (rule
+        ``containment-budget``), so the planner moves on.
+        """
         view = self.store.view(view_name)
         decisions = self._decision_cache()
         key = (query.memo_key(), view_name)
@@ -376,57 +380,18 @@ class QueryEngine:
             self.stats.decision_cache_hits += 1
             return cached
         self.stats.rewrites_attempted += 1
-        decision = self.solver.solve(query, view.pattern)
+        try:
+            decision = self.solver.solve(query, view.pattern)
+        except ContainmentBudgetError as exc:
+            decision = RewriteResult(
+                RewriteStatus.UNKNOWN,
+                rule="containment-budget",
+                trace=[str(exc)],
+            )
         if decision.found:
             self.stats.rewrites_found += 1
         decisions[key] = decision
         return decision
-
-    def _seed_equivalent_decisions(self, query: Pattern) -> None:
-        """Batched fast path: views equivalent to the query rewrite trivially.
-
-        ``V ≡ P`` means the single-node rewriting ``R = out(V)`` works
-        (``R ∘ V = V ≡ P``).  The forward containments ``P ⊑ V`` are
-        decided for *all* undecided views in one :func:`contains_all`
-        batch — sharing the canonical-model setup for ``P`` — and only
-        views passing it pay for the backward check.  Decisions found
-        here are cached so the full solver is never invoked for them.
-        """
-        decisions = self._decision_cache()
-        undecided = [
-            view
-            for view in self.store.views()
-            if (query.memo_key(), view.name) not in decisions
-            and not view.pattern.is_empty
-        ]
-        if not undecided or query.is_empty:
-            return
-        # Respect the solver's canonical-model budget: without it this
-        # prefilter could enumerate an unbounded model space the solver
-        # itself would have refused.
-        budget = self.solver.max_models
-        forward = contains_all(
-            query,
-            [view.pattern for view in undecided],
-            max_models=budget,
-        )
-        for view, fwd in zip(undecided, forward):
-            if not fwd or not contains(view.pattern, query, max_models=budget):
-                continue
-            rewriting = Pattern.single(view.pattern.output.label)
-            decision = RewriteResult(
-                status=RewriteStatus.FOUND,
-                rewriting=rewriting,
-                rule="view-equivalent",
-                equivalence_tests=1,
-                trace=[
-                    f"view {view.name!r} is equivalent to the query; "
-                    "the single-node rewriting applies."
-                ],
-            )
-            self.stats.rewrites_attempted += 1
-            self.stats.rewrites_found += 1
-            decisions[(query.memo_key(), view.name)] = decision
 
     def plan(self, query: Pattern, document: str) -> QueryPlan:
         """Choose a plan: the usable view with the smallest stored forest.
@@ -437,7 +402,6 @@ class QueryEngine:
         with span("engine.plan") as scope:
             best: QueryPlan | None = None
             best_size: int | None = None
-            self._seed_equivalent_decisions(query)
             for view in self.store.views():
                 decision = self.rewrite_against(query, view.name)
                 if not decision.found:
@@ -470,6 +434,10 @@ class QueryEngine:
           ``∩ Qi(t) ⊆ M(t)`` (:func:`~repro.core.intersect.merge_parts`);
         * one backward test ``M ⊑ P`` closes ``∩ Qi(t) = P(t)``.
 
+        Only views rooted at ``*`` or at the query's root label take part:
+        embeddings keep the root, so ``P ⊑ R ∘ V`` needs that of the
+        composition (``V``'s, or its glb with ``P``'s at depth 0).
+
         Results — including misses — are cached per (query, view set);
         plans are document-independent.  Containment-budget overruns
         count the combination as unverified rather than failing the
@@ -477,11 +445,13 @@ class QueryEngine:
         """
         if query.is_empty or not self.intersections:
             return None
+        roots = (WILDCARD, query.root.label)
         views = [
             view
             for view in self.store.views()
             if not view.pattern.is_empty
             and view.pattern.depth <= query.depth
+            and view.pattern.root.label in roots
         ]
         if len(views) < 2:
             return None
@@ -501,15 +471,15 @@ class QueryEngine:
 
     def _search_intersection(self, query: Pattern, views) -> QueryPlan | None:
         budget = self.solver.max_models
-        try:
-            batch = ContainmentBatch(query, max_models=budget)
-        except ContainmentBudgetError:
-            return None
+        batch = ContainmentBatch(query, max_models=budget)
         # One part per view: the first natural candidate (§3.1) whose
         # composition provably over-approximates the query.  The
         # un-relaxed candidate is tried first — it is the tighter part.
+        # The search stops once the views left cannot make two parts.
         parts: list[tuple[str, Pattern, Pattern]] = []
-        for view in views:
+        for index, view in enumerate(views):
+            if len(parts) + len(views) - index < 2:
+                return None
             for candidate in natural_candidates(query, view.pattern.depth):
                 composition = compose(candidate, view.pattern)
                 if composition.is_empty:
@@ -655,10 +625,7 @@ class QueryEngine:
         planned and executed exactly once; duplicates receive the same
         answer set without touching the planner, the decision cache or
         the store.  All executions share the store's cached per-document
-        :class:`~repro.core.embedding.TreeIndex`, and each distinct
-        query's view-equivalence prefilter decides all undecided views
-        through a single batched containment sweep
-        (:meth:`_seed_equivalent_decisions`).  With an answer cache
+        :class:`~repro.core.embedding.TreeIndex`.  With an answer cache
         enabled (``answer_cache_size > 0``) the fold extends *across*
         batches: a distinct query seen in an earlier batch is served
         from the cache — digest-validated — without planning or

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytestmark = pytest.mark.slow
 
 from repro.core.containment import (
+    STATS,
     canonical_containment,
     contains,
     hom_exists,
     weakly_contains,
 )
+from repro.core.embedding_reference import reference_canonical_containment
 from repro.core.oracle import contains_bounded, find_counterexample
 from repro.patterns.fragments import homomorphism_complete
 
-from .strategies import patterns, path_patterns
+from .strategies import SMALL_ALPHABET, patterns, path_patterns
 
 _SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -113,3 +116,45 @@ class TestCounterexamples:
             assert node not in evaluate(p2, tree)
             # And the decision procedure must agree.
             assert not canonical_containment(p1, p2)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """``(p1, p2)``: ``p2`` is ``p1`` with its root, its output or one
+    node relabelled (possibly to ``z``, outside ``p1``'s alphabet), or an
+    unrelated pattern."""
+    p1 = draw(patterns(max_size=4))
+    where = draw(st.sampled_from(["root", "output", "node", "unrelated"]))
+    if where == "unrelated":
+        return p1, draw(patterns(max_size=4))
+    p2, mapping = p1.copy_with_map()
+    if where == "node":
+        nodes = list(p2.nodes())
+        target = nodes[draw(st.integers(0, len(nodes) - 1))]
+        target.label = "z"
+    else:
+        target = mapping[p1.root if where == "root" else p1.output]
+        target.label = draw(st.sampled_from(SMALL_ALPHABET + ("*", "z")))
+    return p1, p2
+
+
+def _tau_refuted(p1, p2) -> bool:
+    """No embedding of ``p2`` into ``τ(p1)`` can exist, by labels alone."""
+    return (
+        p2.root.label not in ("*", p1.root.label)
+        or p2.output.label not in ("*", p1.output.label)
+        or not p2.labels() <= p1.labels()
+    )
+
+
+class TestTauRefutation:
+    @given(relabelled_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_refutations_are_sound_and_test_free(self, pair):
+        p1, p2 = pair
+        before = (STATS.hom_tests, STATS.canonical_tests)
+        verdict = contains(p1, p2, use_cache=False)
+        assert verdict == reference_canonical_containment(p1, p2)
+        if _tau_refuted(p1, p2):
+            assert not verdict
+            assert (STATS.hom_tests, STATS.canonical_tests) == before

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.containment import STATS
 from repro.core.embedding import evaluate
 from repro.core.intersect import fragment_views
 from repro.errors import ViewEngineError
@@ -86,6 +87,21 @@ class TestPlanning:
     def test_width_must_be_at_least_two(self, halved):
         with pytest.raises(ViewEngineError):
             QueryEngine(halved, max_intersection_width=1)
+
+    def test_views_rooted_elsewhere_start_no_search(self, t, p):
+        # Embeddings keep the root: no composition over a b-rooted view
+        # can contain the a-rooted query, so no search runs and no
+        # containment test is made.
+        store = ViewStore()
+        store.add_document("doc", t("a(b(c),b(d))"))
+        store.define_view("bc", p("b/c"))
+        store.define_view("bd", p("b[d]"))
+        engine = QueryEngine(store)
+        before = (STATS.hom_tests, STATS.canonical_tests)
+        plan = engine.plan(p("a/b"), "doc")
+        assert plan.kind == "direct"
+        assert engine.stats.intersection_attempts == 0
+        assert (STATS.hom_tests, STATS.canonical_tests) == before
 
 
 class TestTractableGate:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 pytestmark = pytest.mark.slow
 
@@ -19,8 +19,10 @@ from repro.core.composition import compose
 from repro.core.containment import equivalent
 from repro.core.decide import exhaustive_search
 from repro.core.rewrite import RewriteSolver, RewriteStatus
+from repro.patterns.parse import parse_pattern
 from repro.patterns.random import PatternConfig, random_rewrite_instance
 
+from .oracle import eager_certificate
 from .strategies import path_patterns, patterns
 
 
@@ -108,3 +110,29 @@ class TestDecisionMetadata:
             assert result.rule is not None
         else:
             assert result.rewriting is None
+
+
+class TestLazyCertificates:
+    """The lazy certificate search returns the eager reference's rule."""
+
+    @given(rewrite_instances(mutate=True))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_instances(self, instance):
+        query, view = instance
+        solver = RewriteSolver()
+        assert solver.find_certificate(query, view) == eager_certificate(
+            solver, query, view
+        )
+
+    @given(patterns(max_size=5), patterns(max_size=4), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    # Certified only through derived instances: two-step chains through
+    # lifts at depths 3 and 4 and through Prop 5.6 all apply, so the
+    # rule returned depends on the order the instances are checked in.
+    @example(parse_pattern("a//*/*[e]/e/e//*"), parse_pattern("a//*/*"), 2)
+    @example(parse_pattern("a//*/*/c[*]/c[.//e]//e"), parse_pattern("a//*/*"), 2)
+    def test_unrelated_pairs(self, query, view, derived_depth):
+        solver = RewriteSolver(derived_depth=derived_depth)
+        assert solver.find_certificate(query, view) == eager_certificate(
+            solver, query, view
+        )

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.embedding import evaluate
+from repro.core.rewrite import RewriteSolver, RewriteStatus
 from repro.errors import ViewEngineError
 from repro.patterns.parse import parse_pattern
 from repro.views.engine import QueryEngine
 from repro.views.store import ViewStore
-from repro.xmltree.generate import dblp_like
+from repro.xmltree.generate import dblp_like, random_tree
 
 
 @pytest.fixture
@@ -41,6 +43,56 @@ class TestPlanning:
         attempts = engine.stats.rewrites_attempted
         engine.plan(query, "doc")
         assert engine.stats.rewrites_attempted == attempts
+
+    def test_equivalent_view_found_by_the_solver(self, t, p):
+        # a/*//b is equivalent to the view a//*/b but not isomorphic to
+        # it; the solver's natural candidate P≥d is the rewriting.
+        store = ViewStore()
+        store.add_document("doc", t("a(c(b,d(b)),b,e(f(b)))"))
+        store.define_view("v", p("a//*/b"))
+        engine = QueryEngine(store)
+        query = p("a/*//b")
+        plan = engine.plan(query, "doc")
+        assert plan.kind == "view"
+        assert plan.view_name == "v"
+        assert plan.rewrite_result.rule == "natural-candidate"
+        assert engine.verify_plan(query, "v", "doc")
+
+
+class TestContainmentBudget:
+    """A containment test over the solver's budget never fails a query."""
+
+    @pytest.mark.parametrize(
+        "tree, view, query, max_models",
+        [
+            (random_tree(200, seed=3), "*//*/*", "*//a//*/b//*[c//d]", 2),
+            (random_tree(200, seed=3), "*/*", "*//*/e", 1),
+        ],
+    )
+    def test_overrun_falls_back_to_a_direct_plan(
+        self, tree, view, query, max_models
+    ):
+        store = ViewStore()
+        store.add_document("doc", tree)
+        store.define_view("v", parse_pattern(view))
+        solver = RewriteSolver(use_fallback=False, max_models=max_models)
+        engine = QueryEngine(store, solver=solver)
+        pattern = parse_pattern(query)
+        assert engine.answer(pattern, "doc") == evaluate(pattern, tree)
+        assert engine.plan(pattern, "doc").kind == "direct"
+        assert engine.stats.decision_cache_hits == 1
+        assert engine.stats.rewrites_attempted == 1
+
+    def test_overrun_is_cached_as_unknown(self, p):
+        store = ViewStore()
+        store.add_document("doc", random_tree(200, seed=3))
+        store.define_view("v", p("*/*"))
+        solver = RewriteSolver(use_fallback=False, max_models=1)
+        engine = QueryEngine(store, solver=solver)
+        decision = engine.rewrite_against(p("*//*/e"), "v")
+        assert decision.status is RewriteStatus.UNKNOWN
+        assert decision.rule == "containment-budget"
+        assert engine.rewrite_against(p("*//*/e"), "v") is decision
 
 
 class TestAnswering:
