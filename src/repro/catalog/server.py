@@ -16,19 +16,22 @@ share pattern/tree objects, which dictates the transport:
 :class:`CatalogServer` runs in two modes:
 
 * ``workers=0`` — **deterministic inline mode**: one in-process catalog,
-  every batch answered synchronously.  Counters stay inspectable
+  built from the spec on first use and then answering every batch
+  synchronously.  Counters stay inspectable
   (:meth:`CatalogServer.counters`), which keeps the whole serving path
   regression-testable; the pool mode must produce identical answers.
-* ``workers>=1`` — **document-affine sharding** over single-process
-  :class:`~concurrent.futures.ProcessPoolExecutor` shards whose workers
-  rebuild the catalog from the spec.  Each document id maps to one
-  fixed shard (its position in the sorted id list, modulo ``workers``),
-  so a document's planning state — decision caches, answer caches,
-  containment engines — lives in exactly one process and is never
-  recomputed by its siblings; throughput scales across *documents*.
-  With a shared SQLite path the workers *warm-start*: advisor
-  selections and materializations load from the database instead of
-  being recomputed (see the catalog benchmark's scaling section).
+* ``workers>=1`` — **document-affine sharding** over a
+  :class:`~repro.shardpool.ShardPool`: one forked worker process per
+  shard, joined to the server by one pipe, rebuilds the catalog from
+  the spec.  Each document id maps to one fixed shard (its position in
+  the sorted id list, modulo ``workers``), so a document's planning
+  state — decision caches, answer caches, containment engines — lives
+  in exactly one process and is never recomputed by its siblings;
+  throughput scales across *documents*.  Results are read on the
+  caller's thread, so the serving process runs no helper thread.  With
+  a shared SQLite path the workers *warm-start*: advisor selections
+  and materializations load from the database instead of being
+  recomputed (see the catalog benchmark's scaling section).
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, TYPE_CHECKING
 
 from ..errors import (
     CatalogError,
     RequestTimeout,
-    ShardCrashError,
     UnknownDocumentError,
 )
 from ..faults import FaultPolicy
@@ -226,16 +227,19 @@ class CatalogServer:
     spec:
         The fleet description (see :class:`CatalogSpec`).
     workers:
-        ``0`` (default) runs deterministically in-process; ``n >= 1``
-        shards batches document-affinely across ``n`` worker processes
-        that rebuild the catalog from the spec (warm-starting from
-        ``spec.db_path`` when set).
+        ``0`` (default) runs deterministically in-process, building the
+        catalog from the spec on first inline use (a bad spec raises
+        then, not here); ``n >= 1`` shards batches document-affinely
+        across ``n`` worker processes that rebuild the catalog from the
+        spec (warm-starting from ``spec.db_path`` when set), each
+        started by its shard's first batch.
     result_timeout:
         Upper bound, in seconds, on every wait for a worker future.
-        In :meth:`serve_requests` a dead or wedged worker surfaces as a
-        typed :class:`~repro.errors.RequestTimeout` instead of blocking
-        the caller forever; the async front end counts an expired wait
-        as a shard crash (restart, retry once, degrade).  ``None``
+        In :meth:`serve_requests` a wedged worker surfaces as a typed
+        :class:`~repro.errors.RequestTimeout` and a dead one as
+        :class:`~repro.errors.ShardCrashError`, instead of blocking the
+        caller forever; the async front end counts an expired wait as
+        a shard crash (restart, retry once, degrade).  ``None``
         disables the bound (not recommended).
     fault_policy:
         Deterministic fault-injection hooks (:mod:`repro.faults`):
@@ -269,17 +273,14 @@ class CatalogServer:
             for index, doc_id in enumerate(sorted(self._known))
         }
         self._closed = False
-        # The in-process catalog: inline mode serves from it; pool mode
-        # builds it on the first degrade (see _inline_catalog).
+        # The in-process catalog, built on first use (see
+        # _inline_catalog).  A replicated deployment reads from its
+        # replicas and never builds it.
         self._catalog: Catalog | None = None
         self._pool: ShardPool | None = None
-        if workers == 0:
-            self._catalog = build_catalog(spec)
-        else:
-            # ShardPool construction is all-or-nothing: a later shard
-            # failing to start shuts the earlier workers down instead of
-            # leaking them (close() is unreachable on a half-built
-            # server).
+        if workers:
+            # Each shard's worker starts on its first submission, so
+            # construction starts no process and leaks none.
             self._pool = ShardPool(
                 _init_worker,
                 [
@@ -361,21 +362,16 @@ class CatalogServer:
                     )
                     self._scatter(result, indexes, ids, kinds)
         for future, doc_id, indexes in pending:
-            # Bounded wait: a dead or wedged worker must surface as a
-            # typed error, not hang this caller forever (the pre-PR-8
-            # pool path blocked indefinitely on a never-completing
-            # future).
+            # Bounded wait: a wedged worker surfaces as a typed error,
+            # not a caller blocked forever; a dead one as the future's
+            # ShardCrashError.
             try:
-                ids, kinds = future.result(timeout=self.result_timeout)
+                ids, kinds = self._pool.result(future, self.result_timeout)
             except FutureTimeoutError:
                 raise RequestTimeout(
                     f"shard worker for {doc_id!r} gave no result within "
                     f"{self.result_timeout}s"
                 ) from None
-            except BrokenProcessPool as exc:
-                raise ShardCrashError(
-                    f"shard worker for {doc_id!r} died mid-batch: {exc}"
-                ) from exc
             self._scatter(result, indexes, ids, kinds)
         result.elapsed_seconds = time.perf_counter() - t0
         return result
@@ -383,9 +379,10 @@ class CatalogServer:
     def _inline_catalog(self) -> Catalog:
         """The in-process catalog inline serving and degrading share.
 
-        Built at construction in inline mode (``workers=0``); in pool
-        mode, built from the spec on the failure ladder's first degrade
-        and kept warm for later degraded batches.
+        The only place it is built: from the spec, on the first inline
+        serve or :meth:`counters` call (``workers=0``) or on the failure
+        ladder's first degrade (pool mode), then kept warm.  A bad spec
+        therefore raises here, at first inline use, not at construction.
         """
         if self._closed:
             raise CatalogError("CatalogServer is closed")
@@ -462,14 +459,16 @@ class CatalogServer:
 
         Only meaningful in inline mode — worker processes keep their
         counters in their own address space, which is exactly why the
-        deterministic mode exists.
+        deterministic mode exists.  Called before any serve, it builds
+        the catalog (so a bad spec raises here) and returns its fresh
+        counters.
         """
-        if self._catalog is None or self._pool is not None:
+        if self._pool is not None:
             raise CatalogError(
                 "counters() requires the deterministic inline mode "
                 "(workers=0); pool workers keep theirs per-process"
             )
-        return self._catalog.counters()
+        return self._inline_catalog().counters()
 
     def close(self) -> None:
         if self._closed:

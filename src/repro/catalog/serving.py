@@ -22,12 +22,17 @@ client coroutines and the serving machinery.  The pieces:
   Clocks are injectable (:class:`~repro.faults.VirtualClock`), so
   deadline behavior tests deterministically — no sleeps.
 * **Failure ladder** — a batch whose shard died
-  (:class:`~repro.errors.ShardCrashError` / ``BrokenProcessPool``) is
-  retried **once** on a restarted shard; a second death degrades the
-  batch to the server's in-process catalog, built from the spec on the
-  first degrade (inline mode, with no worker to degrade from, fails
-  the batch typed instead).  Every rung is counted (:class:`ServeStats`), and the fault-injection seam
-  (:mod:`repro.faults`) drives each rung deterministically in tests.
+  (:class:`~repro.errors.ShardCrashError`: its worker exited or was
+  killed, or an injected crash) or whose wait passed
+  ``result_timeout`` is retried **once** on a restarted shard (the
+  restart kills the old worker); a second death degrades the batch to
+  the server's in-process catalog, built from the spec on the first
+  degrade (inline mode, with no worker to degrade from, fails the batch
+  typed instead).  Every rung is counted (:class:`ServeStats`), and the
+  fault-injection seam (:mod:`repro.faults`) drives each rung
+  deterministically in tests.  Pool results are read on the event
+  loop's own thread: :class:`~repro.shardpool.ShardPool` watches each
+  shard's pipe with ``loop.add_reader``.
 * **Graceful drain** — :meth:`AsyncFrontEnd.close` stops admission,
   serves (or sheds, per deadline) everything already queued, and
   resolves every outstanding future before returning.  No future is
@@ -45,8 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
@@ -72,9 +76,10 @@ __all__ = ["AsyncFrontEnd", "ServeStats"]
 #: Overflow policies: await capacity, or reject at the door.
 OVERFLOW_POLICIES = ("wait", "reject")
 
-#: Pool outcomes the failure ladder treats as a dead shard: a crash, a
-#: broken worker process, or a wait past ``result_timeout``.
-_SHARD_DEATHS = (ShardCrashError, BrokenProcessPool, asyncio.TimeoutError)
+#: Pool outcomes the failure ladder treats as a dead shard: a crash
+#: (the worker died, or an injected one) or a wait past
+#: ``result_timeout``.
+_SHARD_DEATHS = (ShardCrashError, asyncio.TimeoutError)
 
 
 @dataclass
@@ -200,6 +205,8 @@ class AsyncFrontEnd:
         self._clock = clock if clock is not None else time.monotonic
         self._replicas = replica_set
         self.stats = ServeStats()
+        #: Pool restarts this front end made, per shard.
+        self._restarts: Counter[int] = Counter()
 
         self._queues: dict[str, deque[_Request]] = {}
         self._rr: deque[str] = deque()  # round-robin order, nonempty docs
@@ -488,9 +495,11 @@ class AsyncFrontEnd:
 
         Ladder: attempt → (shard died) restart + retry once → (died
         again) degrade to the server's in-process catalog, built from
-        the spec on the first degrade.  Each pool wait is bounded by
-        the server's ``result_timeout``; an expired wait counts as a
-        shard death and takes the same ladder.  Inline mode consults
+        the spec on the first degrade.  A batch whose shard was already
+        restarted since its attempt began retries without restarting
+        it again.  Each pool wait is bounded by the server's
+        ``result_timeout``; an expired wait counts as a shard death and
+        takes the same ladder.  Inline mode consults
         the same fault policy and runs the same loop synchronously,
         except that a second death is raised (there is no worker to
         degrade *from*).
@@ -514,6 +523,7 @@ class AsyncFrontEnd:
         else:
             scope.set(source="pool", shard=shard)
             deaths = _SHARD_DEATHS
+        restarts = self._restarts[shard]
         for attempt in (0, 1):
             try:
                 if pool is None:  # synchronous: nothing to await
@@ -527,8 +537,12 @@ class AsyncFrontEnd:
                     return server._inline_catalog().answer_xpaths(
                         doc_id, xpaths
                     )
-                if attempt:
+                if attempt and self._restarts[shard] == restarts:
+                    # Batches that failed together share one restart: a
+                    # second would kill the worker that runs the first
+                    # one's retry.
                     pool.restart(shard)
+                    self._restarts[shard] += 1
                 return await asyncio.wait_for(
                     asyncio.wrap_future(
                         pool.submit(shard, _serve_in_worker, doc_id, xpaths)

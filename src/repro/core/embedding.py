@@ -67,9 +67,11 @@ __all__ = [
 ]
 
 #: Largest tree for which the per-byte lookup tables are built.  Table
-#: memory is ``2 × 256 × (n/8)`` Python ints of ``n`` bits — ~1 MiB at
-#: the default; beyond it the numpy backend (constant per-call overhead,
-#: no quadratic table) takes over.
+#: memory is ``2 × 256 × (n/8)`` Python ints of up to ``n`` bits, so it
+#: grows quadratically: tracemalloc measures 8.6 MiB at 1,024 nodes and
+#: 11.3 MiB at 1,200, against 0.13 and 0.18 MiB for the numpy tables.
+#: Beyond it the numpy backend (constant per-call overhead, no
+#: quadratic table) takes over.
 TABLE_BACKEND_MAX_NODES = 1024
 
 #: Masks with at most this many set bits take the per-bit loop even when

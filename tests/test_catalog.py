@@ -480,10 +480,40 @@ class TestCatalogServer:
     def test_pool_counters_raise_typed_error(self, db_path):
         docs, streams = small_fleet(count=1)
         spec = fleet_spec(db_path, docs, streams)
-        server = CatalogServer.__new__(CatalogServer)
-        server._catalog = None
-        with pytest.raises(CatalogError):
-            server.counters()
+        # A pool server starts no worker until its first batch.
+        with CatalogServer(spec, workers=1) as server:
+            with pytest.raises(CatalogError):
+                server.counters()
+
+    def test_inline_counters_before_any_serve_are_fresh(self, db_path):
+        docs, streams = small_fleet()
+        spec = fleet_spec(db_path, docs, streams)
+        with CatalogServer(spec, workers=0) as server:
+            counters = server.counters()
+        catalog = build_catalog(spec)
+        try:
+            assert counters == catalog.counters()
+        finally:
+            catalog.close()
+        assert set(counters) == set(docs)
+        for section in counters.values():
+            assert not any(section["engine"].values())
+
+    def test_bad_spec_raises_at_first_inline_use(self, db_path):
+        spec = CatalogSpec(
+            documents=(
+                DocumentSpec(
+                    doc_id="d",
+                    xml="<a><b/><c/></a>",
+                    workload_xpaths=("a/b",),
+                    weights=(),
+                ),
+            ),
+            db_path=str(db_path),
+        )
+        with CatalogServer(spec, workers=0) as server:
+            with pytest.raises(ValueError):
+                server.serve_requests([("d", "a/b")])
 
     @pytest.mark.slow
     def test_pool_parity_with_inline(self, db_path):

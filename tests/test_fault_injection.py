@@ -12,7 +12,12 @@ handful of tests that need real worker processes carry the
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import signal
 import sqlite3
+import threading
+import time
 
 import pytest
 
@@ -33,6 +38,7 @@ from repro.faults import (
 )
 from repro.patterns.parse import parse_pattern
 from repro.patterns.serialize import to_xpath
+from repro import shardpool
 from repro.shardpool import ShardPool
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
@@ -175,6 +181,28 @@ class TestShardPoolFaults:
         finally:
             pool.shutdown(wait=False)
 
+    def test_result_wait_is_bounded_on_a_virtual_clock(self, monkeypatch):
+        policy = ScriptedFaultPolicy(submit={0: FaultAction("hang")})
+        pool = ShardPool(None, [()], fault_policy=policy)
+        clock = VirtualClock()
+        readings = []
+
+        def jumping_clock():
+            # Past the deadline from the second reading on, so the wait
+            # must end without sleeping out the timeout in real time.
+            readings.append(clock())
+            clock.advance(60)
+            return readings[-1]
+
+        monkeypatch.setattr(shardpool, "_CLOCK", jumping_clock)
+        try:
+            future = pool.submit(0, sorted, [3, 1])
+            with pytest.raises(TimeoutError):
+                pool.result(future, 30)
+            assert readings == [0.0, 60.0]
+        finally:
+            pool.shutdown(wait=False)
+
     def test_closed_pool_rejects_submit(self):
         pool = ShardPool(None, [()])
         pool.shutdown()
@@ -184,52 +212,60 @@ class TestShardPoolFaults:
 
 
 class TestShardPoolInterruptPropagation:
-    """Interrupts must escape pool construction (regression).
+    """Interrupts and errors must escape a worker's start (regression).
 
     The fleet build used to wrap everything in a broad handler, so a
     Ctrl-C during shard spawn was swallowed by the caller's fallback
-    path.  Interrupts now clean up the partial fleet and re-raise, and
-    so do ordinary failures.
+    path.  A shard's worker now starts on its first submission; a
+    failure while it starts propagates out of ``submit`` and leaves no
+    child, whether it strikes before or after the fork.
     """
 
     @staticmethod
-    def _executor_factory(created, fail_with):
-        """Fake ``ProcessPoolExecutor``: first call records, second raises."""
+    def _failing_start(monkeypatch, fail_with, *, after_fork):
+        """Make the next worker's ``start`` raise, before or after forking."""
+        base = shardpool._FORK.Process
 
-        def make(*, max_workers, initializer=None, initargs=()):
-            if created:
-                raise fail_with("second shard failed to start")
-            fake = type(
-                "FakeExecutor", (), {"shutdowns": None, "shutdown": None}
-            )()
-            fake.shutdowns = []
-            fake.shutdown = lambda wait=True: fake.shutdowns.append(wait)
-            created.append(fake)
-            return fake
+        class FailingProcess(base):
+            def start(self):
+                if after_fork:
+                    super().start()
+                raise fail_with("worker failed to start")
 
-        return make
+        monkeypatch.setattr(shardpool._FORK, "Process", FailingProcess)
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
     def test_interrupt_propagates_with_cleanup(self, monkeypatch, interrupt):
-        created: list = []
-        monkeypatch.setattr(
-            "repro.shardpool.ProcessPoolExecutor",
-            self._executor_factory(created, interrupt),
-        )
-        with pytest.raises(interrupt):
-            ShardPool(None, [(), ()])
-        # The half-built fleet was discarded without waiting on workers.
-        assert [fake.shutdowns for fake in created] == [[False]]
+        before = set(multiprocessing.active_children())
+        self._failing_start(monkeypatch, interrupt, after_fork=True)
+        pool = ShardPool(None, [()])
+        try:
+            with pytest.raises(interrupt):
+                pool.submit(0, sorted, [3, 1])
+            # The forked worker was killed and reaped, not leaked.
+            assert set(multiprocessing.active_children()) == before
+        finally:
+            pool.shutdown(wait=False)
 
     def test_ordinary_failure_also_cleans_and_raises(self, monkeypatch):
-        created: list = []
-        monkeypatch.setattr(
-            "repro.shardpool.ProcessPoolExecutor",
-            self._executor_factory(created, RuntimeError),
-        )
-        with pytest.raises(RuntimeError):
-            ShardPool(None, [(), ()])
-        assert [fake.shutdowns for fake in created] == [[False]]
+        for after_fork in (False, True):
+            before = set(multiprocessing.active_children())
+            pool = ShardPool(None, [()])
+            try:
+                with monkeypatch.context() as patch:
+                    self._failing_start(
+                        patch, RuntimeError, after_fork=after_fork
+                    )
+                    with pytest.raises(RuntimeError):
+                        pool.submit(0, sorted, [3, 1])
+                assert set(multiprocessing.active_children()) == before
+                assert pool.broken_shards() == set()
+                # The shard is not poisoned: the next submission starts
+                # a real worker.
+                fresh = pool.submit(0, sorted, [3, 1])
+                assert pool.result(fresh, 30) == [1, 3]
+            finally:
+                pool.shutdown(wait=False)
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +489,31 @@ class TestPoolLadder:
         assert counters["served"] == 1
         assert counters["failed"] == 0
 
+    def test_batches_failing_together_share_one_restart(self, fleet):
+        """Both documents live on the one shard, and the scripted crash
+        fails both batches.  One restart serves both retries: a second
+        restart would kill the worker running the first batch's retry
+        and push that batch down to the degrade rung."""
+        spec, _ = fleet
+        requests = [("doc-0", BROAD[0]), ("doc-1", BROAD[0])]
+        expected = direct_request_answers(spec, requests)
+        policy = ScriptedFaultPolicy(submit={0: FaultAction("crash")})
+
+        async def go(server):
+            async with server.serve(batch_size=1) as front:
+                futures = [
+                    await front.submit(*request) for request in requests
+                ]
+                answers = await asyncio.gather(*futures)
+            return answers, front.counters()
+
+        with CatalogServer(spec, workers=1, fault_policy=policy) as server:
+            answers, counters = asyncio.run(go(server))
+        assert answers[0] and answers == expected
+        assert counters["shard_crashes"] == 2
+        assert counters["retries"] == 2
+        assert counters["inline_degrades"] == 0
+
     def test_hung_worker_surfaces_bounded_timeout(self, fleet):
         """Regression: a wedged worker future used to block
         ``serve_requests`` forever; it must raise typed within
@@ -495,3 +556,119 @@ class TestPoolLadder:
         spec, _ = fleet
         with pytest.raises(CatalogError):
             CatalogServer(spec, workers=0, result_timeout=0.0)
+
+
+def new_children(before):
+    """Worker processes started since ``before`` was taken."""
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child not in before
+    ]
+
+
+def kill(child) -> None:
+    """SIGKILL a worker and reap it, so its pipe has reached EOF."""
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(10)
+    assert not child.is_alive()
+
+
+@pytest.mark.multicore
+class TestRealWorkers:
+    """Faults that reach a real worker process: kills and hung tasks.
+
+    Injected faults never touch a process, so these are the only tests
+    of how the pool notices a dead pipe and replaces a wedged worker.
+    """
+
+    def test_killed_worker_fails_serve_requests_typed(self, fleet):
+        spec, _ = fleet
+        request = [("doc-0", BROAD[0])]
+        before = set(multiprocessing.active_children())
+        with CatalogServer(spec, workers=2) as server:
+            expected = direct_request_answers(spec, request)
+            assert server.serve_requests(request).answer_ids == expected
+            (worker,) = new_children(before)
+            kill(worker)
+            with pytest.raises(ShardCrashError):
+                server.serve_requests(request)
+        assert new_children(before) == []
+
+    def test_killed_worker_through_front_end_takes_the_ladder(self, fleet):
+        spec, _ = fleet
+        requests = [("doc-0", BROAD[0]), ("doc-0", BROAD[1])]
+        expected = direct_request_answers(spec, requests)
+        before = set(multiprocessing.active_children())
+
+        async def go(server):
+            async with server.serve() as front:
+                first = await front.request(*requests[0])
+                (worker,) = new_children(before)
+                kill(worker)
+                second = await asyncio.wait_for(
+                    front.request(*requests[1]), 30
+                )
+            return [first, second], front.counters()
+
+        with CatalogServer(spec, workers=2) as server:
+            answers, counters = asyncio.run(go(server))
+        assert answers[1] and answers == expected
+        assert counters["shard_crashes"] == 1
+        assert counters["retries"] == 1
+        assert counters["inline_degrades"] == 0
+
+    def test_restart_kills_a_hung_worker(self):
+        before = set(multiprocessing.active_children())
+        pool = ShardPool(None, [()])
+        try:
+            hung = pool.submit(0, time.sleep, 30)
+            (worker,) = new_children(before)
+            pool.restart(0)
+            with pytest.raises(ShardCrashError):
+                hung.result(timeout=0)
+            assert worker not in multiprocessing.active_children()
+            assert pool.result(pool.submit(0, sorted, [3, 1]), 30) == [1, 3]
+            started = time.perf_counter()
+            pool.shutdown()
+            assert time.perf_counter() - started < shardpool._JOIN_SECONDS
+        finally:
+            pool.shutdown(wait=False)
+        assert new_children(before) == []
+
+    def test_shutdown_kills_a_worker_that_will_not_stop(self, monkeypatch):
+        monkeypatch.setattr(shardpool, "_JOIN_SECONDS", 0.2)
+        before = set(multiprocessing.active_children())
+        pool = ShardPool(None, [()])
+        hung = pool.submit(0, time.sleep, 30)
+        started = time.perf_counter()
+        pool.shutdown()
+        # One bounded join for the stop message, one for the kill.
+        assert time.perf_counter() - started < 2 * 0.2 + 1.0
+        with pytest.raises(ShardCrashError):
+            hung.result(timeout=0)
+        assert new_children(before) == []
+
+    def test_pooled_front_end_runs_no_helper_thread(self, fleet):
+        spec, probes = fleet
+        requests = [
+            (doc_id, xpath)
+            for doc_id, pool in sorted(probes.items())
+            for xpath in pool
+        ]
+        expected = direct_request_answers(spec, requests)
+        threads = set(threading.enumerate())
+
+        async def go(server):
+            async with server.serve(batch_size=2) as front:
+                futures = [
+                    await front.submit(*request) for request in requests
+                ]
+                answers = await asyncio.gather(*futures)
+                during = set(threading.enumerate())
+            return answers, during
+
+        with CatalogServer(spec, workers=2) as server:
+            answers, during = asyncio.run(go(server))
+        assert answers == expected
+        assert during == threads

@@ -14,6 +14,7 @@ import asyncio
 import pytest
 
 from repro.catalog import CatalogServer, CatalogSpec, DocumentSpec, ReplicaSet
+from repro.catalog import server as server_module
 from repro.errors import (
     CatalogError,
     ReplicaLagError,
@@ -294,6 +295,39 @@ class TestRouting:
         with make_set(spec, tmp_path) as rs:
             with pytest.raises(UnknownDocumentError):
                 rs.route([("no-such-doc", "a/b")])
+
+    def test_front_end_pass_never_builds_the_server_catalog(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        """Reads go to the replicas, so the server's own inline catalog
+        (parse, advise, index every document) is never built."""
+        spec, xpaths = fleet
+        requests = [
+            (doc_id, xpath)
+            for doc_id, pool in sorted(xpaths.items())
+            for xpath in pool
+        ]
+        builds = []
+        original = server_module.build_catalog
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "build_catalog", counting_build)
+
+        async def drive(server, rs):
+            async with server.serve(replica_set=rs) as front:
+                futures = [
+                    await front.submit(*request) for request in requests
+                ]
+                return await asyncio.gather(*futures)
+
+        with CatalogServer(spec, workers=0) as server:
+            with make_set(spec, tmp_path) as rs:
+                answers = asyncio.run(drive(server, rs))
+        assert answers == direct_request_answers(spec, requests)
+        assert builds == []
 
 
 def _run_failover_soak(fleet, root):
