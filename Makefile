@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-all docs-check serve-check trace-check
+.PHONY: test test-unit test-fast test-soak lint bench bench-check bench-containment bench-replay bench-catalog bench-serving bench-all docs-check serve-check trace-check
 
 ## Full local gate: lint, the tier-1 suite, docs drift, the benchmark
 ## floors (perf + view-plan ratios) and the end-to-end serving and
@@ -19,9 +19,10 @@ test-unit:
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not multicore and not async_serve and not faultinject and not replica"
 
-## Soak: sweep the open-loop serving replay over many seeds, asserting
-## answer bit-identity per seed.  SOAK_SEEDS sets the sweep width
-## (default 2 keeps the tier-1 run fast; CI can raise it).
+## Soak: sweep the open-loop serving test over many seeds on real loop
+## time, asserting every request is served and answers P(t) per seed.
+## SOAK_SEEDS sets the sweep width (default 2 keeps the tier-1 run
+## fast; CI can raise it).
 test-soak:
 	SOAK_SEEDS=8 $(PYTHON) -m pytest tests/test_serve_async.py -q -m soak
 
@@ -32,7 +33,7 @@ lint:
 
 ## Aggregate: every recorded benchmark JSON at the repo root.
 ## Compare the JSONs against the committed baselines before/after a PR.
-bench: bench-containment bench-replay bench-catalog
+bench: bench-containment bench-replay bench-catalog bench-serving
 
 ## Perf guard: records ops/sec + speedup-vs-seed to BENCH_containment.json.
 bench-containment:
@@ -52,9 +53,16 @@ bench-replay:
 	$(PYTHON) benchmarks/bench_replay.py
 
 ## Catalog subsystem: records warm-start speedup, replay bit-identity
-## and sharded-serving throughput to BENCH_catalog.json.
+## and the serving stream's plan ratios to BENCH_catalog.json.  Starts
+## no worker process.
 bench-catalog:
 	$(PYTHON) benchmarks/bench_catalog.py
+
+## Serving: three full perfbench runs (every workload, seed 1), their
+## per-metric medians and ranges recorded to BENCH_serving.json (about
+## 5 minutes).  A record, not a gate: no floor is checked.
+bench-serving:
+	$(PYTHON) benchmarks/bench_serving.py
 
 ## Full paper-claims benchmark battery (pytest-benchmark based).
 bench-all:

@@ -9,7 +9,7 @@ planner loses coverage, these ratios drop and this guard fails loudly.
 Floors live in the committed benchmark JSONs (``BENCH_replay.json`` /
 ``BENCH_catalog.json`` under ``floors``), written there by their own
 benchmark scripts; this guard only *reads* them — it never rewrites a
-baseline.  Four checks:
+baseline.  Five checks:
 
 * the two replay scenarios (re-measured here; cheap and deterministic);
 * the batched-serving stream's single-call ratio (re-measured);
@@ -19,15 +19,6 @@ baseline.  Four checks:
   serving stream (:func:`bench_catalog.measure_serving_ratios`, no pool
   passes; about 11 s on a 2-vCPU host).  Its fragment views and
   ``tractable_only=False`` make it the one gate on intersection plans;
-* the async serving tier's sustained-load record (PR 8) — the committed
-  ``sustained_load.answers_identical_to_inline`` flag must be ``true``:
-  the open-loop replay's surviving answers were bit-identical to the
-  synchronous inline path when the record was made;
-* the replicated read tier's record (PR 9) — every committed
-  ``replicated_load`` tier (2 and 4 replicas) must carry
-  ``answers_identical_to_inline: true`` and warm-started replicas:
-  replica-served answers were bit-identical to the writer-inline path
-  when the record was made;
 * the observability layer's record (PR 10) — the committed
   ``tracing_overhead.overhead_ratio`` must not exceed its embedded
   ``ceiling`` (1.05): instrumentation that costs more than 5% on the
@@ -138,14 +129,6 @@ def floor_violations(
         floor = catalog_floors[floor_key]
         if ratio < floor:
             problems.append(f"serving: {key} {ratio} < floor {floor}")
-    sustained = catalog_report.get("sustained_load")
-    if sustained is not None and not sustained.get(
-        "answers_identical_to_inline", False
-    ):
-        problems.append(
-            "sustained_load (committed): async serving answers were not "
-            "bit-identical to the inline path when the record was made"
-        )
     overhead = replay_report.get("tracing_overhead")
     if overhead is not None:
         ratio = overhead.get("overhead_ratio")
@@ -158,21 +141,6 @@ def floor_violations(
                 f"> ceiling {ceiling} — observability must stay within "
                 "5% of the untraced replay"
             )
-    replicated = catalog_report.get("replicated_load")
-    if replicated is not None:
-        for count, tier in sorted(replicated.get("tiers", {}).items()):
-            if not tier.get("answers_identical_to_inline", False):
-                problems.append(
-                    f"replicated_load (committed): {count}-replica answers "
-                    "were not bit-identical to the writer-inline path when "
-                    "the record was made"
-                )
-            if not tier.get("replicas_warm", False):
-                problems.append(
-                    f"replicated_load (committed): {count}-replica tier "
-                    "bootstrapped cold — snapshot shipping failed to "
-                    "warm-start the replicas"
-                )
     return problems
 
 

@@ -141,8 +141,8 @@ class Tracer:
 
     Thread-safe (the replica tier may execute synchronously on foreign
     threads), but the determinism contract only holds for
-    single-event-loop runs — which is exactly what ``replay_serve``'s
-    virtual-time mode provides.
+    single-event-loop runs on an inline front end whose clock is a
+    :class:`~repro.faults.VirtualClock` that the producer advances.
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:

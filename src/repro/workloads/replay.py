@@ -23,6 +23,11 @@ pairs behind one :class:`~repro.catalog.catalog.Catalog`, advised per
 document (with SQLite-persisted selections warm-starting later runs)
 and replayed as one interleaved, routed request stream.
 
+The async serving tier is not replayed here: ``perfbench/run.py``
+drives it open-loop on a fresh stack per pass and checks every answer
+against direct evaluation.  All three replays count plans through one
+helper (:func:`_tally`).
+
 Determinism contract: for a fixed ``ReplayConfig``, seed and cache
 configuration, every counter in :meth:`ReplayReport.counters` is
 reproducible bit-for-bit — the harness resets the containment caches
@@ -37,10 +42,7 @@ excluded from :meth:`ReplayReport.counters`.
 
 from __future__ import annotations
 
-import asyncio
 import math
-import random
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,8 +55,7 @@ from ..core.containment import (
     engine_cache_limit,
 )
 from ..core.rewrite import RewriteSolver
-from ..errors import AdmissionRejected, RequestTimeout, WorkloadError
-from ..faults import VirtualClock
+from ..errors import WorkloadError
 from ..obs import current_registry, root
 from ..patterns.ast import Pattern
 from ..views.advisor import advise_views
@@ -69,11 +70,8 @@ __all__ = [
     "CatalogReplayReport",
     "ReplayConfig",
     "ReplayReport",
-    "ServeReplayConfig",
-    "ServeReplayReport",
     "replay_batched",
     "replay_catalog",
-    "replay_serve",
     "replay_stream",
     "replay_workload",
 ]
@@ -284,9 +282,28 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _intersection_label(plan) -> str:
-    """The ``plans_by_view`` key for an intersection plan's view combo."""
-    return "∩".join(sorted(part.view_name for part in plan.parts))
+def _tally(
+    report: ReplayReport, distinct: set[int], query: Pattern, plan, answers
+) -> None:
+    """Count one answered query into ``report``.
+
+    The one place the replays count plans: by kind, and per view in
+    ``plans_by_view`` (an intersection plan counts under its views'
+    names joined by ``∩``).  ``distinct`` collects the query keys.
+    """
+    report.queries += 1
+    report.answers_total += len(answers)
+    distinct.add(query.memo_key())
+    if plan.kind == "view":
+        report.view_plans += 1
+        label = plan.view_name
+    elif plan.kind == "intersection":
+        report.intersection_plans += 1
+        label = "∩".join(sorted(part.view_name for part in plan.parts))
+    else:
+        report.direct_plans += 1
+        return
+    report.plans_by_view[label] = report.plans_by_view.get(label, 0) + 1
 
 
 def replay_stream(
@@ -322,29 +339,17 @@ def replay_stream(
                 answers = engine.answer_with_view(
                     query, plan.view_name, document
                 )
-                report.view_plans += 1
-                report.plans_by_view[plan.view_name] = (
-                    report.plans_by_view.get(plan.view_name, 0) + 1
-                )
             elif plan.kind == "intersection":
                 answers = engine.answer_with_intersection(
                     query, plan, document
                 )
-                report.intersection_plans += 1
-                label = _intersection_label(plan)
-                report.plans_by_view[label] = (
-                    report.plans_by_view.get(label, 0) + 1
-                )
             else:
                 answers = engine.answer_direct(query, document)
-                report.direct_plans += 1
         elapsed_query = time.perf_counter() - t0
         if latency_hist is not None:
             latency_hist.observe(elapsed_query)
         report.latencies_ms.append(elapsed_query * 1000.0)
-        report.queries += 1
-        report.answers_total += len(answers)
-        distinct.add(query.memo_key())
+        _tally(report, distinct, query, plan, answers)
         # Only view-backed answers (single-view or intersection) can
         # differ from direct evaluation (direct plans *are* a store
         # evaluation), so only they are worth the extra cross-check —
@@ -399,23 +404,7 @@ def replay_batched(
         per_query_ms = result.elapsed_seconds * 1000.0 / len(chunk)
         report.latencies_ms.extend([per_query_ms] * len(chunk))
         for query, plan, answers in zip(chunk, result.plans, result.answers):
-            report.queries += 1
-            report.answers_total += len(answers)
-            distinct.add(query.memo_key())
-            if plan.kind == "view":
-                assert plan.view_name is not None
-                report.view_plans += 1
-                report.plans_by_view[plan.view_name] = (
-                    report.plans_by_view.get(plan.view_name, 0) + 1
-                )
-            elif plan.kind == "intersection":
-                report.intersection_plans += 1
-                label = _intersection_label(plan)
-                report.plans_by_view[label] = (
-                    report.plans_by_view.get(label, 0) + 1
-                )
-            else:
-                report.direct_plans += 1
+            _tally(report, distinct, query, plan, answers)
         if verify:
             # One direct evaluation per distinct view-backed query;
             # duplicates share its verdict (evaluation is deterministic,
@@ -624,17 +613,7 @@ def replay_catalog(
                     (doc_id, samples[doc_id].entries[position].query)
                 )
 
-        tallies = {
-            doc_id: {
-                "queries": 0,
-                "view_plans": 0,
-                "intersection_plans": 0,
-                "direct_plans": 0,
-                "answers_total": 0,
-                "plans_by_view": {},
-            }
-            for doc_id in report.documents
-        }
+        tallies = {doc_id: ReplayReport() for doc_id in report.documents}
         distinct: dict[str, set[int]] = {
             doc_id: set() for doc_id in report.documents
         }
@@ -651,23 +630,7 @@ def replay_catalog(
             for (doc_id, query), plan, answers in zip(
                 window, routed.plans, routed.answers
             ):
-                tally = tallies[doc_id]
-                tally["queries"] += 1
-                tally["answers_total"] += len(answers)
-                distinct[doc_id].add(query.memo_key())
-                if plan.kind == "view":
-                    tally["view_plans"] += 1
-                    tally["plans_by_view"][plan.view_name] = (
-                        tally["plans_by_view"].get(plan.view_name, 0) + 1
-                    )
-                elif plan.kind == "intersection":
-                    tally["intersection_plans"] += 1
-                    label = _intersection_label(plan)
-                    tally["plans_by_view"][label] = (
-                        tally["plans_by_view"].get(label, 0) + 1
-                    )
-                else:
-                    tally["direct_plans"] += 1
+                _tally(tallies[doc_id], distinct[doc_id], query, plan, answers)
                 if (
                     config.verify
                     and plan.kind != "direct"
@@ -686,17 +649,23 @@ def replay_catalog(
         report.containment["engine_cache_limit"] = engine_cache_limit()
         for doc_id in report.documents:
             after = catalog.entry(doc_id).engine.stats.snapshot()
-            section = tallies[doc_id]
-            section["distinct_queries"] = len(distinct[doc_id])
-            section["views"] = list(catalog.entry(doc_id).views)
-            section["engine"] = {
+            engine = {
                 key: after[key] - engine_before[doc_id][key] for key in after
             }
-            section["answer_cache_hits"] = section["engine"][
-                "answer_cache_hits"
-            ]
-            report.per_document[doc_id] = section
-            report.queries += section["queries"]
+            tally = tallies[doc_id]
+            report.per_document[doc_id] = {
+                "queries": tally.queries,
+                "view_plans": tally.view_plans,
+                "intersection_plans": tally.intersection_plans,
+                "direct_plans": tally.direct_plans,
+                "answers_total": tally.answers_total,
+                "plans_by_view": tally.plans_by_view,
+                "distinct_queries": len(distinct[doc_id]),
+                "views": list(catalog.entry(doc_id).views),
+                "engine": engine,
+                "answer_cache_hits": engine["answer_cache_hits"],
+            }
+            report.queries += tally.queries
         report.backend = catalog.backend_stats()
         registry = current_registry()
         if registry is not None:
@@ -704,308 +673,6 @@ def replay_catalog(
         return report
     finally:
         catalog.close()
-
-
-@dataclass
-class ServeReplayConfig:
-    """An open-loop serving scenario (:func:`replay_serve`).
-
-    The same derived fleet as :class:`CatalogReplayConfig` — ``documents``
-    independent document+stream pairs per seed — but driven through the
-    asyncio serving tier (:meth:`CatalogServer.serve
-    <repro.catalog.server.CatalogServer.serve>`) as an **open-loop**
-    arrival process: request ``i`` is *scheduled* at a Poisson arrival
-    time (exponential inter-arrival gaps at ``arrival_rate`` requests
-    per second, drawn from the seed) and latency is measured from that
-    scheduled arrival, not from when the producer managed to submit —
-    queueing delay under overload is part of the number, never hidden
-    (no coordinated omission).
-
-    ``timeout`` is the per-request deadline in seconds (``None`` serves
-    everything); ``overflow`` is the admission policy (``"wait"`` for
-    backpressure, ``"reject"`` to shed at the door); ``workers`` picks
-    inline (0) or pooled serving.  ``replicas > 0`` stands up a
-    :class:`~repro.catalog.replication.ReplicaSet` (PR 9) in a
-    temporary directory and routes every read through the replica tier
-    instead of the writer — the baseline stays the synchronous inline
-    path, so ``mismatches`` also proves replica answers bit-identical.
-
-    ``virtual_time`` replaces the real-time Poisson pacing with a
-    :class:`~repro.faults.VirtualClock` injected into the front end:
-    the producer *advances* the clock to each scheduled arrival instead
-    of sleeping, and latencies read the virtual clock.  The run
-    finishes as fast as the CPU allows and — with ``workers=0`` and no
-    replicas — the event-loop interleaving is deterministic, which is
-    what makes same-seed trace structure byte-identical (PR 10's
-    observability contract).
-    """
-
-    documents: int = 2
-    stream: StreamConfig = field(default_factory=StreamConfig)
-    document_size: int = 300
-    max_views: int = 4
-    arrival_rate: float = 2000.0
-    timeout: float | None = None
-    max_pending: int = 64
-    batch_size: int = 16
-    overflow: str = "wait"
-    workers: int = 0
-    replicas: int = 0
-    virtual_time: bool = False
-
-    def __post_init__(self) -> None:
-        if self.documents < 1:
-            raise WorkloadError("serve replay needs >= 1 document")
-        if self.replicas < 0:
-            raise WorkloadError("replicas must be >= 0")
-        if self.batch_size < 1:
-            raise WorkloadError("batch_size must be >= 1")
-        if self.max_pending < 1:
-            raise WorkloadError("max_pending must be >= 1")
-        if self.arrival_rate <= 0.0:
-            raise WorkloadError("arrival_rate must be > 0")
-        if self.timeout is not None and self.timeout <= 0.0:
-            raise WorkloadError("timeout must be > 0 (or None)")
-
-
-@dataclass
-class ServeReplayReport:
-    """Outcome of one open-loop serving replay.
-
-    ``requests = served + shed + rejected + failed`` always holds.
-    *Which* requests survive a deadline is wall-clock-dependent, but
-    every survivor's answer must be bit-identical to the synchronous
-    inline path's — ``mismatches`` counts violations and stays 0.  With
-    ``overflow="wait"`` and no timeout, ``served == requests`` exactly.
-    """
-
-    requests: int = 0
-    served: int = 0
-    shed: int = 0
-    rejected: int = 0
-    failed: int = 0
-    #: Survivors whose answers differed from the inline baseline.
-    mismatches: int = 0
-    serve_counters: dict = field(default_factory=dict)
-    #: ``ReplicaSet.stats_snapshot()`` when ``config.replicas > 0``.
-    replication: dict = field(default_factory=dict)
-    latencies_ms: list[float] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def answers_identical(self) -> bool:
-        """Every survivor matched the inline baseline bit-for-bit."""
-        return self.served > 0 and self.mismatches == 0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of requests shed or rejected (0.0 for empty runs)."""
-        if not self.requests:
-            return 0.0
-        return (self.shed + self.rejected) / self.requests
-
-    @property
-    def queries_per_sec(self) -> float:
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.served / self.elapsed_seconds
-
-    def latency_ms(self, quantile: float) -> float:
-        """Served-request latency quantile (nearest-rank), from the
-        *scheduled* arrival time to answer completion."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        rank = math.ceil(quantile * len(ordered)) - 1
-        return ordered[min(len(ordered) - 1, max(rank, 0))]
-
-    def summary(self) -> str:
-        """A human-readable multi-line digest."""
-        lines = [
-            f"serve replay: {self.served}/{self.requests} served "
-            f"in {self.elapsed_seconds:.3f}s "
-            f"= {self.queries_per_sec:,.0f} q/s",
-            f"shed: {self.shed} deadline, {self.rejected} admission "
-            f"(shed rate {self.shed_rate:.1%}), {self.failed} failed",
-            f"latency ms: p50={self.latency_ms(0.5):.3f} "
-            f"p95={self.latency_ms(0.95):.3f} "
-            f"p99={self.latency_ms(0.99):.3f}",
-        ]
-        if self.mismatches:
-            lines.append(
-                f"!! {self.mismatches} answers differed from the inline path"
-            )
-        return "\n".join(lines)
-
-
-def replay_serve(
-    config: ServeReplayConfig | None = None,
-    seed: int | None = None,
-) -> ServeReplayReport:
-    """Drive one seed's fleet through the async serving tier, open-loop.
-
-    The fleet derives exactly as in :func:`replay_catalog` (same
-    sub-seed scheme, so the request *content* is deterministic per
-    seed).  The synchronous inline path answers the whole request
-    sequence first — that is the baseline — then the asyncio front end
-    replays it as a Poisson arrival stream: a producer coroutine sleeps
-    until each request's scheduled arrival, submits it (awaiting
-    admission under backpressure, counting
-    :class:`~repro.errors.AdmissionRejected` under ``"reject"``), and
-    every completion is classified as served, shed
-    (:class:`~repro.errors.RequestTimeout`) or failed.
-
-    Per-request latency runs from the scheduled arrival to completion.
-    Survivor answers are compared index-for-index against the baseline;
-    any difference counts in ``mismatches`` (the bench asserts 0).
-    """
-    from ..catalog.replication import ReplicaSet  # local: keep import acyclic
-    from ..catalog.server import (
-        CatalogServer,
-        CatalogSpec,
-        DocumentSpec,
-    )
-
-    config = config or ServeReplayConfig()
-    clear_cache()
-    CONTAINMENT_STATS.reset()
-    base = 0 if seed is None else int(seed)
-
-    doc_ids: list[str] = []
-    samples: dict[str, StreamSample] = {}
-    documents: list[DocumentSpec] = []
-    for index in range(config.documents):
-        doc_id = f"doc-{index}"
-        doc_seed = base * 10_007 + index
-        tree = random_tree(config.document_size, seed=doc_seed)
-        sample = sample_stream(config.stream, seed=doc_seed)
-        doc_ids.append(doc_id)
-        samples[doc_id] = sample
-        documents.append(
-            DocumentSpec.from_tree(
-                doc_id,
-                tree,
-                sample.templates,
-                sample.template_weights(),
-            )
-        )
-    spec = CatalogSpec(documents=tuple(documents), max_views=config.max_views)
-
-    requests: list[tuple[str, Pattern]] = []
-    for position in range(config.stream.length):
-        for doc_id in doc_ids:
-            requests.append((doc_id, samples[doc_id].entries[position].query))
-
-    # Poisson arrival schedule: exponential gaps, derived from the seed
-    # so the *schedule* (not the wall-clock outcome) is reproducible.
-    rng = random.Random(base * 65_537 + 11)
-    offsets: list[float] = []
-    t_arrival = 0.0
-    for _ in requests:
-        t_arrival += rng.expovariate(config.arrival_rate)
-        offsets.append(t_arrival)
-
-    report = ServeReplayReport(requests=len(requests))
-    with CatalogServer(spec, workers=config.workers) as server:
-        baseline = server.serve_requests(
-            requests, batch_size=config.batch_size
-        )
-        replica_dir: tempfile.TemporaryDirectory | None = None
-        replica_set: "ReplicaSet | None" = None
-        if config.replicas > 0:
-            replica_dir = tempfile.TemporaryDirectory(
-                prefix="repro-replicas-"
-            )
-            replica_set = ReplicaSet(
-                spec, replicas=config.replicas, root=replica_dir.name
-            )
-
-        async def _replay() -> dict:
-            loop = asyncio.get_running_loop()
-            virtual = VirtualClock() if config.virtual_time else None
-            now = virtual if virtual is not None else loop.time
-            start = now()
-            done_at: dict[int, float] = {}
-            outstanding: dict[int, tuple[float, asyncio.Future]] = {}
-            front = server.serve(
-                max_pending=config.max_pending,
-                batch_size=config.batch_size,
-                overflow=config.overflow,
-                default_timeout=config.timeout,
-                clock=virtual,
-                replica_set=replica_set,
-            )
-            async with front:
-                for index, (offset, (doc_id, query)) in enumerate(
-                    zip(offsets, requests)
-                ):
-                    if virtual is not None:
-                        # Advance to the scheduled arrival instead of
-                        # sleeping; yield once so the drain loop keeps
-                        # interleaving deterministically.
-                        behind = (start + offset) - virtual()
-                        if behind > 0:
-                            virtual.advance(behind)
-                        await asyncio.sleep(0)
-                    else:
-                        delay = (start + offset) - loop.time()
-                        if delay > 0:
-                            await asyncio.sleep(delay)
-                    try:
-                        future = await front.submit(doc_id, query)
-                    except AdmissionRejected:
-                        report.rejected += 1
-                        continue
-                    future.add_done_callback(
-                        lambda _fut, i=index: done_at.setdefault(i, now())
-                    )
-                    outstanding[index] = (start + offset, future)
-            # close() drained: every future is resolved by here.
-            for index, (scheduled, future) in outstanding.items():
-                exc = future.exception()
-                if exc is None:
-                    report.served += 1
-                    report.latencies_ms.append(
-                        (done_at[index] - scheduled) * 1000.0
-                    )
-                    if future.result() != baseline.answer_ids[index]:
-                        report.mismatches += 1
-                elif isinstance(exc, RequestTimeout):
-                    report.shed += 1
-                else:
-                    report.failed += 1
-            return front.counters()
-
-        try:
-            t0 = time.perf_counter()
-            report.serve_counters = asyncio.run(_replay())
-            report.elapsed_seconds = time.perf_counter() - t0
-            if replica_set is not None:
-                report.replication = replica_set.stats_snapshot()
-            registry = current_registry()
-            if registry is not None:
-                # Served latencies feed the exportable histogram; the
-                # front end published its own lifetime stats at close.
-                latency_hist = registry.histogram("serve.latency_seconds")
-                for latency_ms in report.latencies_ms:
-                    latency_hist.observe(latency_ms / 1000.0)
-                registry.publish(
-                    "serve.replay",
-                    {
-                        "requests": report.requests,
-                        "served": report.served,
-                        "shed": report.shed,
-                        "rejected": report.rejected,
-                        "failed": report.failed,
-                        "mismatches": report.mismatches,
-                    },
-                )
-        finally:
-            if replica_set is not None:
-                replica_set.close()
-            if replica_dir is not None:
-                replica_dir.cleanup()
-    return report
 
 
 def replay_workload(

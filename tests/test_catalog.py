@@ -29,6 +29,8 @@ from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 from repro.xmltree.tree import build_tree
 
+from .oracle import direct_answers
+
 
 @pytest.fixture
 def db_path(tmp_path):
@@ -667,7 +669,12 @@ class TestExplicitViews:
         finally:
             catalog.close()
 
-    def test_server_reports_intersection_plan_kinds(self, db_path):
+    @pytest.mark.parametrize(
+        "workers", [0, pytest.param(1, marks=pytest.mark.multicore)]
+    )
+    def test_server_reports_intersection_plan_kinds(self, db_path, workers):
+        """The inline catalog and a pool worker both plan and serve the
+        intersection, and its answer is ``P(t)``."""
         spec = CatalogSpec(
             documents=(
                 DocumentSpec.from_tree(
@@ -680,6 +687,8 @@ class TestExplicitViews:
             tractable_only=False,
         )
         query = parse_pattern(self.QUERY)
-        with CatalogServer(spec, workers=0) as server:
+        with CatalogServer(spec, workers=workers) as server:
             result = server.serve_requests([("doc", query)])
         assert result.plan_kinds == ["intersection"]
+        assert result.answer_ids == direct_answers(spec, "doc", [self.QUERY])
+        assert result.answer_ids[0]

@@ -7,9 +7,11 @@ Three tiers:
   arrival interleavings and asserting every trace is a **well-nested
   tree** — checked purely on the tracer's open/close sequence numbers,
   no clocks involved;
-* the determinism contract: two same-seed virtual-time serving replays
-  emit byte-identical trace *structure*, every admitted request owns
-  exactly one tree, and ``tools/trace_report.py`` reproduces the
+* the determinism contract: two same-seed virtual-time passes of
+  :mod:`tests.openloop`'s open-loop stream, each on a fresh server, emit
+  byte-identical trace *structure*, planning and containment spans
+  included; every admitted request owns exactly one tree, survivors
+  answer ``P(t)``, and ``tools/trace_report.py`` reproduces the
   per-layer breakdown from the JSONL export.
 """
 
@@ -26,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.catalog import CatalogServer, CatalogSpec, DocumentSpec
 from repro.catalog.serving import ServeStats
+from repro.core.containment import clear_cache
 from repro.errors import AdmissionRejected
 from repro.faults import VirtualClock
 from repro.obs import (
@@ -40,10 +43,11 @@ from repro.obs import (
     trace_structure,
 )
 from repro.obs.tracing import adopt, current_tracer
-from repro.workloads.replay import ServeReplayConfig, replay_serve
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
+from . import openloop
+from .oracle import direct_request_answers
 from .strategies import arrival_streams
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -379,44 +383,51 @@ def test_property_spans_form_well_nested_forest(fleet, server, events):
 # ----------------------------------------------------------------------
 
 
-SERVE_CONFIG = dict(
-    documents=2,
-    stream=StreamConfig(length=15, templates=5),
-    document_size=120,
-    max_views=2,
-    arrival_rate=500.0,
-    timeout=0.01,
-    batch_size=4,
-    virtual_time=True,
-)
+def _traced_run(seed: int):
+    """One traced virtual-time pass of the seed's open-loop stream.
 
-
-def _traced_replay(seed: int):
+    The containment caches are cleared first so that a second run
+    plans, decides and traces exactly as the first did.
+    """
+    clear_cache()
+    spec, requests = openloop.fleet(seed)
     tracer = Tracer()
     previous = install_tracer(tracer)
     try:
-        report = replay_serve(ServeReplayConfig(**SERVE_CONFIG), seed=seed)
+        futures, counters = openloop.serve_open_loop(
+            spec,
+            requests,
+            seed=seed,
+            rate=500.0,
+            clock=VirtualClock(),
+            batch_size=4,
+            default_timeout=0.01,
+        )
     finally:
         install_tracer(previous)
-    return tracer, report
+    return tracer, spec, requests, futures, counters
 
 
 @pytest.mark.async_serve
 class TestDeterministicTraces:
     def test_same_seed_virtual_time_structure_identical(self):
-        first, _ = _traced_replay(seed=9)
-        second, _ = _traced_replay(seed=9)
+        first, *_ = _traced_run(seed=9)
+        second, *_ = _traced_run(seed=9)
         first_bytes = json.dumps(trace_structure(first), sort_keys=True)
         second_bytes = json.dumps(trace_structure(second), sort_keys=True)
         assert first_bytes == second_bytes
+        # A fresh server plans and decides containment, so the contract
+        # covers those layers, not only answer-cache hits.
+        names = {record.name for record in first.records()}
+        assert {"engine.plan", "containment.decide"} <= names
 
     def test_one_tree_per_admitted_request(self, tmp_path):
-        tracer, report = _traced_replay(seed=9)
+        tracer, _, _, _, counters = _traced_run(seed=9)
         records = tracer.records()
         by_trace = _assert_well_nested_forest(records)
         roots = [r for r in records if r.parent_id is None]
         assert all(r.name == "serve.request" for r in roots)
-        assert len(roots) == report.serve_counters["admitted"]
+        assert len(roots) == counters["admitted"]
         assert len(by_trace) == len(roots)
 
         # JSONL round trip: the report tool sees the same forest.
@@ -439,6 +450,15 @@ class TestDeterministicTraces:
         assert f"{len(roots)} request trees" in text
 
     def test_bit_identity_assertions_hold_with_tracing_on(self):
-        _, report = _traced_replay(seed=4)
-        assert report.answers_identical
-        assert report.mismatches == 0
+        _, spec, requests, futures, counters = _traced_run(seed=4)
+        survivors = [
+            (request, future.result())
+            for request, future in zip(requests, futures)
+            if future.exception() is None
+        ]
+        assert counters["served"] == len(survivors) > 0
+        assert [answer for _, answer in survivors] == direct_request_answers(
+            spec, [request for request, _ in survivors]
+        )
+        # The stream's broad queries select nodes on every document.
+        assert sum(1 for _, answer in survivors if answer) >= 10

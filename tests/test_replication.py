@@ -23,7 +23,6 @@ from repro.errors import (
 from repro.faults import FaultAction, ScriptedFaultPolicy, VirtualClock
 from repro.patterns.parse import parse_pattern
 from repro.patterns.serialize import to_xpath
-from repro.workloads.replay import ServeReplayConfig, replay_serve
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
@@ -321,13 +320,19 @@ class TestRouting:
                 futures = [
                     await front.submit(*request) for request in requests
                 ]
-                return await asyncio.gather(*futures)
+                answers = await asyncio.gather(*futures)
+            return answers, front.counters()
 
         with CatalogServer(spec, workers=0) as server:
             with make_set(spec, tmp_path) as rs:
-                answers = asyncio.run(drive(server, rs))
+                answers, counters = asyncio.run(drive(server, rs))
+                replication = rs.stats_snapshot()
         assert answers == direct_request_answers(spec, requests)
         assert builds == []
+        # Every read was a replica answer; none fell back to the writer.
+        assert replication["replica_answers"] == len(requests)
+        assert replication["writer_fallbacks"] == 0
+        assert counters["replication"] == replication
 
 
 def _run_failover_soak(fleet, root):
@@ -413,19 +418,3 @@ class TestFailoverSoak:
         # The determinism contract: two same-seed runs agree exactly,
         # counter for counter, replica for replica.
         assert stats_a == stats_b
-
-
-class TestServeReplayIntegration:
-    def test_replay_serve_through_replicas_is_bit_identical(self):
-        config = ServeReplayConfig(
-            documents=2,
-            stream=StreamConfig(length=10),
-            document_size=200,
-            replicas=2,
-        )
-        report = replay_serve(config, seed=11)
-        assert report.served == report.requests
-        assert report.answers_identical
-        assert report.replication["replica_answers"] == report.requests
-        assert report.replication["writer_fallbacks"] == 0
-        assert report.serve_counters["replication"] == report.replication
