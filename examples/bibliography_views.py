@@ -53,8 +53,9 @@ def main() -> None:
         engine_ms = (time.perf_counter() - start) * 1e3
 
         assert answer == direct, "Prop 2.4 violated?!"
-        via = plan.view_name if plan.kind == "view" else "direct scan"
-        rewriting = to_xpath(plan.rewriting) if plan.rewriting else "-"
+        via = " ∩ ".join(part.view_name for part in plan.parts)
+        rewriting = " ∩ ".join(to_xpath(part.rewriting) for part in plan.parts)
+        via, rewriting = via or "direct scan", rewriting or "-"
         print(
             f"{text:<38} -> {via:<11} R = {rewriting:<22} "
             f"|answer| = {len(answer):>3}   direct {direct_ms:6.2f} ms, "

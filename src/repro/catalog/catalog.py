@@ -347,7 +347,7 @@ class Catalog:
             scope.set(documents=len(grouped))
             routed = RoutedAnswer(
                 answers=[set()] * len(requests),
-                plans=[QueryPlan(kind="direct")] * len(requests),
+                plans=[QueryPlan()] * len(requests),
             )
             for doc_id, indexes in grouped.items():
                 batch = self.answer_many(

@@ -63,6 +63,7 @@ from typing import Callable, Sequence
 from ..errors import CatalogError, ReplicaLagError, ReplicaUnavailableError
 from ..faults import FaultPolicy, raise_injected
 from ..obs import span
+from ..obs.metrics import StatsBase
 from ..views.persist import SnapshotBackend
 from .catalog import Catalog
 from .server import CatalogSpec, build_catalog
@@ -71,7 +72,7 @@ __all__ = ["Replica", "ReplicaSet", "ReplicationStats"]
 
 
 @dataclass
-class ReplicationStats:
+class ReplicationStats(StatsBase):
     """Deterministic counters for one :class:`ReplicaSet`'s lifetime.
 
     Shipping: ``records_shipped`` counts records applied on replicas
@@ -104,25 +105,6 @@ class ReplicationStats:
     lag_fenced: int = 0
     writer_fallbacks: int = 0
     rejoins: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "syncs": self.syncs,
-            "records_shipped": self.records_shipped,
-            "duplicates_skipped": self.duplicates_skipped,
-            "corrupt_shipped": self.corrupt_shipped,
-            "gaps_detected": self.gaps_detected,
-            "reships": self.reships,
-            "ship_failures": self.ship_failures,
-            "replica_answers": self.replica_answers,
-            "writer_answers": self.writer_answers,
-            "replica_crashes": self.replica_crashes,
-            "evictions": self.evictions,
-            "failover_retries": self.failover_retries,
-            "lag_fenced": self.lag_fenced,
-            "writer_fallbacks": self.writer_fallbacks,
-            "rejoins": self.rejoins,
-        }
 
 
 @dataclass

@@ -81,6 +81,7 @@ from typing import Sequence
 
 from ..errors import ContainmentBudgetError
 from ..obs import span
+from ..obs.metrics import StatsBase
 from ..patterns.ast import Axis, Pattern, PNode, WILDCARD, on_memo_reset
 from ..patterns.fragments import homomorphism_complete
 from .canonical import CanonicalEngine, count_canonical_models, star_length
@@ -112,7 +113,7 @@ __all__ = [
 
 
 @dataclass
-class ContainmentStats:
+class ContainmentStats(StatsBase):
     """Counters for containment-engine activity (benchmark instrumentation)."""
 
     hom_tests: int = 0
@@ -125,32 +126,6 @@ class ContainmentStats:
     branch_prunes: int = 0
     embed_memo_hits: int = 0
     embed_memo_misses: int = 0
-
-    def reset(self) -> None:
-        self.hom_tests = 0
-        self.canonical_tests = 0
-        self.canonical_models_checked = 0
-        self.cache_hits = 0
-        self.cache_evictions = 0
-        self.engine_cache_hits = 0
-        self.engine_cache_evictions = 0
-        self.branch_prunes = 0
-        self.embed_memo_hits = 0
-        self.embed_memo_misses = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "hom_tests": self.hom_tests,
-            "canonical_tests": self.canonical_tests,
-            "canonical_models_checked": self.canonical_models_checked,
-            "cache_hits": self.cache_hits,
-            "cache_evictions": self.cache_evictions,
-            "engine_cache_hits": self.engine_cache_hits,
-            "engine_cache_evictions": self.engine_cache_evictions,
-            "branch_prunes": self.branch_prunes,
-            "embed_memo_hits": self.embed_memo_hits,
-            "embed_memo_misses": self.embed_memo_misses,
-        }
 
 
 #: Module-level statistics, reset via ``STATS.reset()``.

@@ -18,7 +18,9 @@ The existing per-layer stats objects (``ContainmentStats``,
 *published* into the registry as gauges at well-defined points
 (front-end close, replay end, ``Catalog.backend_stats``), which keeps
 every pre-existing ``counters()``/``stats_snapshot()`` bit-identity
-assertion untouched while giving one exportable surface.
+assertion untouched while giving one exportable surface.  The flat
+counter dataclasses among them share :class:`StatsBase` for their
+``snapshot()`` and ``reset()``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "StatsBase",
     "install_registry",
     "current_registry",
 ]
@@ -55,6 +58,22 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1.0,
     2.5,
 )
+
+
+class StatsBase:
+    """Base of the flat counter dataclasses (``EngineStats`` and kin).
+
+    :meth:`snapshot` copies the instance dict, so its keys come in field
+    order; :meth:`reset` re-runs the dataclass ``__init__``, restoring
+    every field's default.  Neither walks ``dataclasses.fields``: the
+    engine snapshots its stats twice per batch.
+    """
+
+    def snapshot(self) -> dict[str, Any]:
+        return self.__dict__.copy()
+
+    def reset(self) -> None:
+        self.__init__()
 
 
 class Counter:

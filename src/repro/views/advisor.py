@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -73,10 +72,9 @@ from ..core.containment import (
     prune_subsumed_branches_memoized,
 )
 from ..core.embedding import TreeIndex, evaluate
-from ..core.intersect import merge_parts
 from ..core.rewrite import RewriteSolver, precheck_refutation
 from ..core.selection import sub_ge, sub_le
-from ..errors import ContainmentBudgetError, ViewEngineError
+from ..errors import ViewEngineError
 from ..patterns.ast import Pattern
 from ..patterns.parse import parse_pattern
 from ..patterns.serialize import to_xpath
@@ -86,7 +84,6 @@ __all__ = [
     "AdvisorResult",
     "AdvisorStats",
     "CandidateView",
-    "PairSelection",
     "advise_views",
     "deserialize_selection",
     "selection_fingerprint",
@@ -98,11 +95,6 @@ __all__ = [
 #: persisted selections are recomputed rather than silently reused.
 SELECTION_FORMAT = 1
 
-#: How many non-selected candidates join the pair-crediting seed pool
-#: (``tractable_only=False``).  Already-selected views always join for
-#: free — a pair over two chosen views costs zero extra slots.
-_PAIR_SEED_LIMIT = 6
-
 
 @dataclass
 class AdvisorStats:
@@ -110,9 +102,6 @@ class AdvisorStats:
 
     ``solver_calls`` stays 0 on the batched scoring path — the replay
     benchmark and the regression tests assert exactly that.
-    ``intersection_pairs_scored``/``intersection_pairs_selected`` track
-    the pair-crediting phase (``tractable_only=False``; both stay 0
-    otherwise).
     """
 
     candidates: int = 0
@@ -123,8 +112,6 @@ class AdvisorStats:
     prefix_fast_path: int = 0
     containment_tests: int = 0
     solver_calls: int = 0
-    intersection_pairs_scored: int = 0
-    intersection_pairs_selected: int = 0
 
 
 @dataclass
@@ -154,49 +141,17 @@ class CandidateView:
 
 
 @dataclass
-class PairSelection:
-    """A credited view *pair*: queries answerable only by intersection.
-
-    Attributes
-    ----------
-    view_indexes:
-        Indexes into :attr:`AdvisorResult.views` of the two members.
-    covered:
-        Workload indices answerable from the pair's intersection (and
-        from no single chosen view).
-    rewritings:
-        ``workload index -> (compensation for member 0, member 1)`` —
-        the verified per-leg rewritings whose compensated compositions
-        sandwich the query (see :mod:`repro.core.intersect`).
-    benefit:
-        Total weight of pair-covered queries.
-    """
-
-    view_indexes: tuple[int, int]
-    covered: set[int] = field(default_factory=set)
-    rewritings: dict[int, tuple[Pattern, Pattern]] = field(
-        default_factory=dict
-    )
-    benefit: float = 0.0
-
-
-@dataclass
 class AdvisorResult:
     """Outcome of view selection.
 
     Attributes
     ----------
     views:
-        Chosen views, in selection order (pair-phase members whose
-        singles cover nothing appear with empty ``covered``).
+        Chosen views, in selection order.
     coverage:
         query index -> chosen view index (first view answering it).
     uncovered:
-        Workload indices covered neither by a chosen view nor by a
-        credited pair.
-    pairs:
-        Credited view pairs (``tractable_only=False`` only; empty
-        otherwise), in selection order.
+        Workload indices no chosen view answers.
     stats:
         Scoring counters for the run.
     """
@@ -204,7 +159,6 @@ class AdvisorResult:
     views: list[CandidateView] = field(default_factory=list)
     coverage: dict[int, int] = field(default_factory=dict)
     uncovered: list[int] = field(default_factory=list)
-    pairs: list[PairSelection] = field(default_factory=list)
     stats: AdvisorStats = field(default_factory=AdvisorStats)
 
 
@@ -276,53 +230,6 @@ class _BatchedScorer:
         self._batches: dict[int, ContainmentBatch] = {}
         self._possible: dict[int, set[int]] = {}
         self._coverage: dict[int, dict[int, Pattern]] = {}
-        self._parts: dict[tuple[int, int], tuple[Pattern, Pattern] | None] = {}
-
-    def _batch(self, ui: int) -> ContainmentBatch:
-        batch = self._batches.get(ui)
-        if batch is None:
-            batch = ContainmentBatch(
-                self.unique[ui], max_models=self.max_models
-            )
-            self._batches[ui] = batch
-        return batch
-
-    def part(self, ci: int, ui: int) -> tuple[Pattern, Pattern] | None:
-        """An intersection *part* of query ``ui`` from candidate ``ci``.
-
-        Returns ``(compensation R, composition R ∘ V)`` with
-        ``P ⊑ R ∘ V`` verified through the query's shared batch — the
-        over-approximation an intersection leg needs — or None.  The
-        un-relaxed natural candidate is preferred (it is tighter).
-        Memoized per (candidate, query); budget overruns memoize None.
-        """
-        key = (ci, ui)
-        if key in self._parts:
-            return self._parts[key]
-        view = self.candidates[ci]
-        query = self.unique[ui]
-        found: tuple[Pattern, Pattern] | None = None
-        if (
-            not view.is_empty
-            and not query.is_empty
-            and view.depth <= query.depth
-        ):
-            batch = self._batch(ui)
-            for candidate in natural_candidates(query, view.depth):
-                composition = compose(candidate, view)
-                if composition.is_empty:
-                    continue
-                composition = prune_subsumed_branches_memoized(composition)
-                self.stats.containment_tests += 1
-                try:
-                    forward = batch.contains(composition)
-                except ContainmentBudgetError:
-                    break
-                if forward:
-                    found = (candidate, composition)
-                    break
-        self._parts[key] = found
-        return found
 
     def upper_bound(self, ci: int) -> set[int]:
         """Unique-query indices that *might* be answerable (no tests)."""
@@ -413,46 +320,6 @@ def _solver_coverage(
     return coverage
 
 
-def _pair_coverage(
-    scorer: _BatchedScorer,
-    ci: int,
-    cj: int,
-    targets: set[int],
-) -> dict[int, tuple[Pattern, Pattern]]:
-    """Unique-query indices answerable from the *intersection* of two
-    candidates (and verified so), with their per-leg compensations.
-
-    A query is pair-covered when both candidates yield a forward part
-    (``P ⊑ Ri ∘ Vi``, via :meth:`_BatchedScorer.part`) and the merged
-    composition — exactness certificate included, so
-    ``tractable_only=False`` here is safe — contains back into the
-    query.  Merges isomorphic to either part alone are skipped: those
-    queries belong to single-view coverage, not pair credit.
-    """
-    covered: dict[int, tuple[Pattern, Pattern]] = {}
-    for ui in sorted(targets):
-        query = scorer.unique[ui]
-        if query.is_empty:
-            continue
-        pi = scorer.part(ci, ui)
-        pj = scorer.part(cj, ui)
-        if pi is None or pj is None:
-            continue
-        merged = merge_parts([pi[1], pj[1]], tractable_only=False)
-        if merged is None:
-            continue
-        merged = prune_subsumed_branches_memoized(merged)
-        if merged.memo_key() in (pi[1].memo_key(), pj[1].memo_key()):
-            continue
-        scorer.stats.containment_tests += 1
-        try:
-            if contains(merged, query, max_models=scorer.max_models):
-                covered[ui] = (pi[0], pj[0])
-        except ContainmentBudgetError:
-            continue
-    return covered
-
-
 def advise_views(
     queries: Sequence[Pattern],
     weights: Sequence[float] | None = None,
@@ -462,7 +329,6 @@ def advise_views(
     max_cost_fraction: float = 0.6,
     scorer: str = "batched",
     max_models: int | None = None,
-    tractable_only: bool = True,
 ) -> AdvisorResult:
     """Pick up to ``max_views`` views for a weighted query workload.
 
@@ -491,15 +357,6 @@ def advise_views(
     max_models:
         Canonical-model budget per containment test on the batched path
         (defaults to the solver's budget when a solver is given).
-    tractable_only:
-        When False, a pair-crediting phase runs after the single-view
-        greedy (batched scorer only): queries no single chosen view
-        answers are re-tried against the *intersections* of view pairs,
-        mirroring the tractability/completeness trade of view-
-        intersection rewriting — completeness costs the intractable
-        regime's certificates, so it is opt-in.  Credited pairs land in
-        :attr:`AdvisorResult.pairs`; the default True keeps the
-        historical single-view selection bit-identical.
 
     Notes
     -----
@@ -595,9 +452,13 @@ def advise_views(
     # selects exactly the views the eager greedy would.
     result = AdvisorResult(stats=stats)
     remaining_u = set(range(len(unique)))
-    ub_sets = {ci: scorer_state.upper_bound(ci) for ci in keep}
     heap = [
-        (-sum(weight_u[ui] for ui in ub_sets[ci]), costs[ci], ci, False)
+        (
+            -sum(weight_u[ui] for ui in scorer_state.upper_bound(ci)),
+            costs[ci],
+            ci,
+            False,
+        )
         for ci in keep
     ]
     heapq.heapify(heap)
@@ -619,59 +480,6 @@ def advise_views(
         chosen_unique.append((ci, covered))
         remaining_u -= set(covered)
 
-    # Pair-crediting phase (opt-in): queries left uncovered by every
-    # single view may still be answerable from the *intersection* of two
-    # views.  Seed pool = already-chosen views (free: no extra slots)
-    # plus the few unchosen candidates with the highest residual upper
-    # bound; greedy over pairs by (gain, fewer new slots).
-    pair_selected: list[tuple[int, int, dict]] = []
-    if not tractable_only and remaining_u and max_views >= 2:
-        chosen_cis = [ci for ci, _ in chosen_unique]
-        extras = sorted(
-            (ci for ci in keep if ci not in chosen_cis),
-            key=lambda ci: (
-                -sum(weight_u[ui] for ui in ub_sets[ci] & remaining_u),
-                costs[ci],
-                ci,
-            ),
-        )[:_PAIR_SEED_LIMIT]
-        pool = sorted(set(chosen_cis) | set(extras))
-        pair_cov: dict[tuple[int, int], dict] = {}
-        for i, j in itertools.combinations(pool, 2):
-            stats.intersection_pairs_scored += 1
-            pair_cov[(i, j)] = _pair_coverage(
-                scorer_state, i, j, remaining_u
-            )
-        while remaining_u:
-            in_views = {ci for ci, _ in chosen_unique}
-            best_pair = None
-            best_key = (0.0, 0)
-            for (i, j), cov in sorted(pair_cov.items()):
-                slots = (i not in in_views) + (j not in in_views)
-                if len(chosen_unique) + slots > max_views:
-                    continue
-                gain = sum(
-                    weight_u[ui] for ui in cov if ui in remaining_u
-                )
-                key = (gain, -slots)
-                if gain > 0 and key > best_key:
-                    best_key = key
-                    best_pair = (i, j)
-            if best_pair is None:
-                break
-            i, j = best_pair
-            for member in (i, j):
-                if member not in in_views:
-                    chosen_unique.append((member, {}))
-            cov = {
-                ui: pair_cov[(i, j)][ui]
-                for ui in pair_cov[(i, j)]
-                if ui in remaining_u
-            }
-            pair_selected.append((i, j, cov))
-            stats.intersection_pairs_selected += 1
-            remaining_u -= set(cov)
-
     # Translate back to original workload indices.
     for view_index, (ci, covered) in enumerate(chosen_unique):
         view = CandidateView(
@@ -686,24 +494,8 @@ def advise_views(
                 if index not in result.coverage:
                     result.coverage[index] = view_index
         result.views.append(view)
-    view_position = {ci: idx for idx, (ci, _) in enumerate(chosen_unique)}
-    pair_covered_workload: set[int] = set()
-    for i, j, cov in pair_selected:
-        pair = PairSelection(
-            view_indexes=(view_position[i], view_position[j])
-        )
-        for index, ui in enumerate(orig_to_uniq):
-            if ui in cov:
-                pair.covered.add(index)
-                pair.rewritings[index] = cov[ui]
-                pair.benefit += weights[index]
-                pair_covered_workload.add(index)
-        result.pairs.append(pair)
     result.uncovered = sorted(
-        index
-        for index in range(len(queries))
-        if index not in result.coverage
-        and index not in pair_covered_workload
+        index for index in range(len(queries)) if index not in result.coverage
     )
     return result
 
@@ -719,7 +511,6 @@ def selection_fingerprint(
     max_cost_fraction: float = 0.6,
     max_models: int | None = None,
     scorer: str = "batched",
-    tractable_only: bool = True,
 ) -> str:
     """SHA-256 over everything the advisor's selection depends on.
 
@@ -745,11 +536,6 @@ def selection_fingerprint(
         "max_models": max_models,
         "scorer": scorer,
     }
-    if not tractable_only:
-        # Added only for the non-default mode so every fingerprint
-        # computed before the pair phase existed stays byte-identical
-        # (persisted selections survive the upgrade).
-        body["intersections"] = {"pairs": True}
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -762,12 +548,9 @@ def serialize_selection(result: AdvisorResult) -> dict:
     pattern); enough coverage metadata rides along for reporting, but
     rewritings are *not* persisted — the engine re-derives (and caches)
     them in one decision per (query, view), which is cheap next to
-    advising.  Pair credits (``tractable_only=False`` runs) ride along
-    under a ``"pairs"`` key, present only when non-empty so historical
-    payloads stay byte-identical; :func:`deserialize_selection` ignores
-    it (pair members are already in ``"views"``).
+    advising.
     """
-    payload = {
+    return {
         "format": SELECTION_FORMAT,
         "views": [
             {
@@ -779,16 +562,6 @@ def serialize_selection(result: AdvisorResult) -> dict:
         ],
         "uncovered": list(result.uncovered),
     }
-    if result.pairs:
-        payload["pairs"] = [
-            {
-                "views": list(pair.view_indexes),
-                "benefit": pair.benefit,
-                "covered": sorted(pair.covered),
-            }
-            for pair in result.pairs
-        ]
-    return payload
 
 
 def deserialize_selection(payload: dict) -> list[Pattern]:

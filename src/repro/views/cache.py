@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..core.embedding import evaluate, evaluate_forest
 from ..core.rewrite import RewriteSolver
+from ..obs.metrics import StatsBase
 from ..patterns.ast import Pattern
 from ..xmltree.node import TNode
 from ..xmltree.tree import XMLTree
@@ -27,7 +28,7 @@ __all__ = ["CacheStats", "CachedView", "ViewCache"]
 
 
 @dataclass
-class CacheStats:
+class CacheStats(StatsBase):
     """Hit/miss counters for the view cache."""
 
     hits: int = 0
@@ -42,12 +43,6 @@ class CacheStats:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.rewrite_attempts = 0
 
 
 @dataclass

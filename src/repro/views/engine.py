@@ -7,10 +7,14 @@ The engine answers a query pattern ``P`` over a document ``t`` either
   (Section 2.4) and evaluating ``R`` over the stored forest ``V(t)``;
   by Proposition 2.4 the answers are identical, or
 * **via an intersection of views** — when no single view suffices,
-  finding a bounded-width combination whose compensated compositions
-  ``Ri ∘ Vi`` provably sandwich ``P`` (:mod:`repro.core.intersect`);
-  execution intersects the legs' forest evaluations by preorder index
-  and never touches the document.
+  finding a pair of views whose compensated compositions ``Ri ∘ Vi``
+  provably sandwich ``P`` (:mod:`repro.core.intersect`); execution
+  intersects the parts' forest evaluations by preorder index and never
+  touches the document.
+
+All three are one plan shape, a tuple of view parts ``(Vi, Ri)``: a
+direct plan has none, a view plan one and an intersection plan two, and
+the plan's ``kind`` is read off that width.
 
 The engine records per-query plans and counters, which benchmark C5 uses
 to reproduce the paper's motivating speedup scenario (the view forest is
@@ -52,12 +56,11 @@ service invalidates it automatically.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import itertools
+from typing import NamedTuple, Sequence
 
 from ..core.candidates import natural_candidates
 from ..core.composition import compose
@@ -71,12 +74,13 @@ from ..core.intersect import merge_parts
 from ..core.rewrite import RewriteResult, RewriteSolver, RewriteStatus
 from ..errors import ContainmentBudgetError, ViewEngineError
 from ..obs import span
+from ..obs.metrics import StatsBase
 from ..patterns.ast import Pattern, WILDCARD, memo_epoch
 from ..xmltree.node import TNode
 from .store import ViewStore
 
 __all__ = [
-    "IntersectionPart",
+    "ViewPart",
     "QueryPlan",
     "EngineStats",
     "BatchAnswer",
@@ -84,42 +88,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntersectionPart:
-    """One leg of an intersection plan: a compensated view.
+class ViewPart(NamedTuple):
+    """One compensated view: ``rewriting`` evaluated over ``V(t)``.
 
-    Executing the leg evaluates ``rewriting`` over the stored forest
-    ``V(t)`` of ``view_name`` — exactly a single-view plan's execution,
-    except the result is one *over-approximation* ``P(t) ⊆ (R ∘ V)(t)``
-    rather than the answer itself.
+    In a one-part plan the result is the answer (``R ∘ V ≡ P``); in a
+    wider plan it is one over-approximation ``P(t) ⊆ (R ∘ V)(t)``.
     """
 
     view_name: str
     rewriting: Pattern
 
 
+#: Plan kind by width (number of parts); wider plans are intersections.
+_KINDS = ("direct", "view", "intersection")
+
+
 @dataclass
 class QueryPlan:
-    """How a query was (or would be) answered.
+    """How a query was (or would be) answered: ``R(V(t))`` per part.
 
-    ``kind`` is ``"view"``, ``"intersection"`` or ``"direct"``.  For
-    view plans, ``view_name`` and the verified ``rewriting`` are set.
-    For intersection plans, ``parts`` holds the compensated views (a
-    two-level DAG: every leg feeds one intersection node) and ``merged``
-    the pattern the legs' intersection was verified equivalent to the
+    ``parts`` holds the compensated views: none for a direct plan, one
+    for a view plan (``rewrite_result`` is the solver's decision), two
+    for an intersection plan, whose parts' answers meet, and ``merged``
+    is the pattern their intersection was verified equivalent to the
     query through.
     """
 
-    kind: str
-    view_name: str | None = None
-    rewriting: Pattern | None = None
-    rewrite_result: RewriteResult | None = None
-    parts: tuple[IntersectionPart, ...] = ()
+    parts: tuple[ViewPart, ...] = ()
     merged: Pattern | None = None
+    rewrite_result: RewriteResult | None = None
+
+    @property
+    def kind(self) -> str:
+        """``"direct"``, ``"view"`` or ``"intersection"``, by width."""
+        return _KINDS[min(len(self.parts), 2)]
 
 
 @dataclass
-class EngineStats:
+class EngineStats(StatsBase):
     """Counters over the engine's lifetime.
 
     ``decision_cache_hits`` counts rewrite decisions served from the
@@ -144,30 +150,6 @@ class EngineStats:
     intersection_attempts: int = 0
     intersection_plans: int = 0
     intersection_answers: int = 0
-
-    def reset(self) -> None:
-        self.direct_answers = 0
-        self.view_answers = 0
-        self.rewrites_attempted = 0
-        self.rewrites_found = 0
-        self.decision_cache_hits = 0
-        self.answer_cache_hits = 0
-        self.intersection_attempts = 0
-        self.intersection_plans = 0
-        self.intersection_answers = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "direct_answers": self.direct_answers,
-            "view_answers": self.view_answers,
-            "rewrites_attempted": self.rewrites_attempted,
-            "rewrites_found": self.rewrites_found,
-            "decision_cache_hits": self.decision_cache_hits,
-            "answer_cache_hits": self.answer_cache_hits,
-            "intersection_attempts": self.intersection_attempts,
-            "intersection_plans": self.intersection_plans,
-            "intersection_answers": self.intersection_answers,
-        }
 
 
 @dataclass
@@ -227,25 +209,20 @@ class QueryEngine:
         are stored as frozen copies and every hit returns a *fresh*
         mutable set, so callers may mutate returned answers freely
         without corrupting later hits.
-    intersections:
-        When True (the default) a query no single view answers is
-        additionally planned as an **intersection of views** (see
-        :mod:`repro.core.intersect`): bounded-width view combinations
-        whose compensated compositions provably sandwich the query.
     tractable_only:
-        Restrict intersection merges to the tractable regime (at most
-        one descendant edge on the shared selection spine, where the
-        merge is unconditionally exact).  ``False`` also accepts
+        A query no single view answers is planned as an **intersection
+        of two views** (see :mod:`repro.core.intersect`) when it can be.
+        True restricts the merge to the tractable regime (at most one
+        descendant edge on the shared selection spine, where the merge
+        is unconditionally exact).  ``False`` also accepts
         descendant-heavy spines through the dominated-segment analysis —
         more complete, same soundness, more merge work per query.
-    max_intersection_width:
-        Largest number of views combined into one intersection plan
-        (>= 2; combinations are enumerated smallest-width first).
     """
 
     #: Cap on merged-containment tests per intersection search — the
-    #: combination space is polynomial but a pathological store should
-    #: not stall planning; the search gives up (direct plan) past it.
+    #: pair space is quadratic in the views, but a pathological store
+    #: should not stall planning; the search gives up (direct plan)
+    #: past it.
     _INTERSECTION_TEST_LIMIT = 16
 
     def __init__(
@@ -254,21 +231,15 @@ class QueryEngine:
         solver: RewriteSolver | None = None,
         *,
         answer_cache_size: int = 0,
-        intersections: bool = True,
         tractable_only: bool = True,
-        max_intersection_width: int = 2,
     ):
         if answer_cache_size < 0:
             raise ViewEngineError("answer_cache_size must be >= 0")
-        if max_intersection_width < 2:
-            raise ViewEngineError("max_intersection_width must be >= 2")
         self.store = store
         self.solver = solver or RewriteSolver()
         self.stats = EngineStats()
         self.answer_cache_size = answer_cache_size
-        self.intersections = intersections
         self.tractable_only = tractable_only
-        self.max_intersection_width = max_intersection_width
         # Intersection-plan cache: (query key, view-set token) -> plan
         # or None.  Misses are cached too — the search is the expensive
         # part either way.  Epoch-guarded like the decision cache, and
@@ -397,7 +368,7 @@ class QueryEngine:
         """Choose a plan: the usable view with the smallest stored forest.
 
         When no single view admits a rewriting, tries an intersection
-        plan (``intersections=True``); falls back to a direct plan.
+        plan; falls back to a direct plan.
         """
         with span("engine.plan") as scope:
             best: QueryPlan | None = None
@@ -409,23 +380,21 @@ class QueryEngine:
                 size = view.answer_count(document)
                 if best_size is None or size < best_size:
                     best = QueryPlan(
-                        kind="view",
-                        view_name=view.name,
-                        rewriting=decision.rewriting,
+                        parts=(ViewPart(view.name, decision.rewriting),),
                         rewrite_result=decision,
                     )
                     best_size = size
-            if best is None and self.intersections:
+            if best is None:
                 best = self.plan_intersection(query)
-            chosen = best or QueryPlan(kind="direct")
+            chosen = best or QueryPlan()
             scope.set(kind=chosen.kind)
             return chosen
 
     def plan_intersection(self, query: Pattern) -> QueryPlan | None:
         """A verified intersection plan for ``query``, or None.
 
-        Searches bounded-width view combinations whose compensated
-        compositions ``Qi = Ri ∘ Vi`` sandwich the query:
+        Searches view pairs whose compensated compositions
+        ``Qi = Ri ∘ Vi`` sandwich the query:
 
         * per part, ``P ⊑ Qi`` through one shared
           :class:`~repro.core.containment.ContainmentBatch` (so
@@ -440,10 +409,10 @@ class QueryEngine:
 
         Results — including misses — are cached per (query, view set);
         plans are document-independent.  Containment-budget overruns
-        count the combination as unverified rather than failing the
+        count the pair as unverified rather than failing the
         query (the solver's ``max_models`` is respected throughout).
         """
-        if query.is_empty or not self.intersections:
+        if query.is_empty:
             return None
         roots = (WILDCARD, query.root.label)
         views = [
@@ -476,7 +445,7 @@ class QueryEngine:
         # composition provably over-approximates the query.  The
         # un-relaxed candidate is tried first — it is the tighter part.
         # The search stops once the views left cannot make two parts.
-        parts: list[tuple[str, Pattern, Pattern]] = []
+        parts: list[tuple[ViewPart, Pattern]] = []
         for index, view in enumerate(views):
             if len(parts) + len(views) - index < 2:
                 return None
@@ -490,44 +459,32 @@ class QueryEngine:
                 except ContainmentBudgetError:
                     continue
                 if forward:
-                    parts.append((view.name, candidate, composition))
+                    parts.append((ViewPart(view.name, candidate), composition))
                     break
         if len(parts) < 2:
             return None
-        part_keys = {composition.memo_key() for _, _, composition in parts}
+        part_keys = {composition.memo_key() for _, composition in parts}
         tested = 0
-        for width in range(2, min(self.max_intersection_width, len(parts)) + 1):
-            for combo in itertools.combinations(range(len(parts)), width):
-                if tested >= self._INTERSECTION_TEST_LIMIT:
-                    return None
-                merged = merge_parts(
-                    [parts[i][2] for i in combo],
-                    tractable_only=self.tractable_only,
-                )
-                if merged is None:
-                    continue
-                merged = prune_subsumed_branches_memoized(merged)
-                if merged.memo_key() in part_keys:
-                    # Degenerate combination: the merge collapses onto a
-                    # single part, which the solver already rejected.
-                    continue
-                tested += 1
-                try:
-                    exact = contains(merged, query, max_models=budget)
-                except ContainmentBudgetError:
-                    continue
-                if exact:
-                    return QueryPlan(
-                        kind="intersection",
-                        parts=tuple(
-                            IntersectionPart(
-                                view_name=parts[i][0],
-                                rewriting=parts[i][1],
-                            )
-                            for i in combo
-                        ),
-                        merged=merged,
-                    )
+        for first, second in itertools.combinations(parts, 2):
+            if tested >= self._INTERSECTION_TEST_LIMIT:
+                return None
+            merged = merge_parts(
+                [first[1], second[1]], tractable_only=self.tractable_only
+            )
+            if merged is None:
+                continue
+            merged = prune_subsumed_branches_memoized(merged)
+            if merged.memo_key() in part_keys:
+                # Degenerate pair: the merge collapses onto a single
+                # part, which the solver already rejected.
+                continue
+            tested += 1
+            try:
+                exact = contains(merged, query, max_models=budget)
+            except ContainmentBudgetError:
+                continue
+            if exact:
+                return QueryPlan(parts=(first[0], second[0]), merged=merged)
         return None
 
     # ------------------------------------------------------------------
@@ -561,19 +518,19 @@ class QueryEngine:
     ) -> set[TNode]:
         """Execute an intersection plan over the stored forests.
 
-        Each leg evaluates its compensation over its view's forest
-        (never the document); leg results meet as **sorted preorder
+        Each part evaluates its compensation over its view's forest
+        (never the document); part results meet as **preorder
         indexes** — the store's process-independent node encoding —
         with an early exit once the running intersection is empty.
         """
-        if plan.kind != "intersection" or not plan.parts:
+        if plan.kind != "intersection":
             raise ViewEngineError(
                 f"not an intersection plan (kind: {plan.kind!r})"
             )
         ids: set[int] | None = None
-        for part in plan.parts:
-            forest = self.store.view_answers(part.view_name, document)
-            nodes = evaluate_forest(part.rewriting, forest)
+        for view_name, rewriting in plan.parts:
+            forest = self.store.view_answers(view_name, document)
+            nodes = evaluate_forest(rewriting, forest)
             part_ids = set(self.store.node_ids(document, nodes))
             ids = part_ids if ids is None else ids & part_ids
             if not ids:
@@ -584,34 +541,25 @@ class QueryEngine:
     def _execute(
         self, query: Pattern, plan: QueryPlan, document: str
     ) -> set[TNode]:
-        """Run one plan (shared by :meth:`answer` / :meth:`answer_many`)."""
+        """Run one plan through the entry point for its width."""
         with span("engine.execute", kind=plan.kind):
-            if plan.kind == "view":
-                assert plan.view_name is not None
+            if not plan.parts:
+                return self.answer_direct(query, document)
+            if len(plan.parts) == 1:
                 return self.answer_with_view(
-                    query, plan.view_name, document
+                    query, plan.parts[0].view_name, document
                 )
-            if plan.kind == "intersection":
-                return self.answer_with_intersection(query, plan, document)
-            return self.answer_direct(query, document)
+            return self.answer_with_intersection(query, plan, document)
 
     def answer(self, query: Pattern, document: str) -> set[TNode]:
         """Answer using the planner's choice (view if possible).
 
-        With an answer cache enabled, a repeated query skips planning
-        *and* execution entirely; every hit returns a fresh set the
-        caller owns outright.
+        A batch of one (:meth:`answer_many`): with an answer cache
+        enabled, a repeated query skips planning *and* execution
+        entirely, and every hit returns a fresh set the caller owns
+        outright.
         """
-        with span("engine.answer") as scope:
-            cached = self._cached_answer(query, document)
-            if cached is not None:
-                scope.set(cache="hit", kind=cached[1].kind)
-                return cached[0]
-            plan = self.plan(query, document)
-            answer = self._execute(query, plan, document)
-            self._remember_answer(query, document, answer, plan)
-            scope.set(cache="miss", kind=plan.kind)
-            return answer
+        return self.answer_many([query], document).answers[0]
 
     # ------------------------------------------------------------------
     # Batched / async serving

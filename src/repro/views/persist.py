@@ -67,6 +67,7 @@ logger = logging.getLogger(__name__)
 #: The per-backend count lives in ``BackendStats.fsync_failures``.
 _FSYNC_FAILURE_LOGGED = False
 
+from ..obs.metrics import StatsBase
 from ..patterns.ast import Pattern
 from ..xmltree.tree import XMLTree
 
@@ -116,7 +117,7 @@ def pattern_digest(pattern: Pattern) -> str:
 
 
 @dataclass
-class BackendStats:
+class BackendStats(StatsBase):
     """Counters for one backend's lifetime.
 
     ``corrupt_records`` counts snapshot-log lines rejected on open
@@ -147,21 +148,6 @@ class BackendStats:
     fsync_failures: int = 0
     io_errors: int = 0
     evicted_rows: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "saves": self.saves,
-            "invalidations": self.invalidations,
-            "corrupt_records": self.corrupt_records,
-            "selection_hits": self.selection_hits,
-            "selection_misses": self.selection_misses,
-            "selection_saves": self.selection_saves,
-            "fsync_failures": self.fsync_failures,
-            "io_errors": self.io_errors,
-            "evicted_rows": self.evicted_rows,
-        }
 
 
 class StoreBackend(Protocol):

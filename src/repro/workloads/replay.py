@@ -9,13 +9,14 @@ materializes those views in a :class:`~repro.views.store.ViewStore`,
 replays the stream through :class:`~repro.views.engine.QueryEngine`,
 and reports throughput, latency percentiles and cache effectiveness.
 
-Two serving-path variants hang off :class:`ReplayConfig`:
-``persist_path`` routes materializations through the disk-backed
-snapshot backend (:mod:`repro.views.persist`) so a re-run against the
-same path starts from a warm store, and ``batch_size > 1`` replays the
-stream through :meth:`QueryEngine.answer_many
+One loop replays a stream: :func:`replay_stream` answers it in windows
+of ``batch_size`` queries through :meth:`QueryEngine.answer_many
 <repro.views.engine.QueryEngine.answer_many>`, folding duplicate
-queries within each batch (:func:`replay_batched`).
+queries within each window (``batch_size=1`` replays query by query).
+:class:`ReplayConfig` adds ``persist_path``, which routes
+materializations through the disk-backed snapshot backend
+(:mod:`repro.views.persist`) so a re-run against the same path starts
+from a warm store.
 
 The multi-document variant is :func:`replay_catalog`
 (:class:`CatalogReplayConfig`): several independent document+stream
@@ -25,7 +26,7 @@ and replayed as one interleaved, routed request stream.
 
 The async serving tier is not replayed here: ``perfbench/run.py``
 drives it open-loop on a fresh stack per pass and checks every answer
-against direct evaluation.  All three replays count plans through one
+against direct evaluation.  Both replays count plans through one
 helper (:func:`_tally`).
 
 Determinism contract: for a fixed ``ReplayConfig``, seed and cache
@@ -70,7 +71,6 @@ __all__ = [
     "CatalogReplayReport",
     "ReplayConfig",
     "ReplayReport",
-    "replay_batched",
     "replay_catalog",
     "replay_stream",
     "replay_workload",
@@ -80,32 +80,9 @@ __all__ = [
 DOCUMENT = "replay-doc"
 
 
-def _counter_snapshots(engine: QueryEngine) -> tuple[dict, dict]:
-    """Engine + containment counter snapshots (taken around a replay)."""
-    return engine.stats.snapshot(), CONTAINMENT_STATS.snapshot()
-
-
-def _fill_counter_deltas(
-    report: "ReplayReport",
-    engine: QueryEngine,
-    before: tuple[dict, dict],
-) -> None:
-    """Store the engine/containment counter deltas since ``before``.
-
-    Shared by :func:`replay_stream` and :func:`replay_batched` so the
-    two replay variants can never drift in how they attribute counters
-    — the bit-identical :meth:`ReplayReport.counters` contract depends
-    on one convention.
-    """
-    engine_before, containment_before = before
-    engine_after, containment_after = _counter_snapshots(engine)
-    report.engine = {
-        key: engine_after[key] - engine_before[key] for key in engine_after
-    }
-    report.containment = {
-        key: containment_after[key] - containment_before[key]
-        for key in containment_after
-    }
+def _delta(after: dict, before: dict) -> dict:
+    """Per-key counter change between two stats snapshots."""
+    return {key: after[key] - before[key] for key in after}
 
 
 @dataclass
@@ -138,11 +115,10 @@ class ReplayConfig:
         changes *where* materializations come from, never their content
         (see :meth:`ReplayReport.counters`).
     batch_size:
-        ``1`` replays query by query (:func:`replay_stream`); larger
-        values replay in batches of this size through
-        :meth:`~repro.views.engine.QueryEngine.answer_many`
-        (:func:`replay_batched`), folding duplicate queries within each
-        batch.
+        Window size of :func:`replay_stream`: each window of this many
+        queries is one
+        :meth:`~repro.views.engine.QueryEngine.answer_many` call, which
+        folds duplicate queries within it (``1``: query by query).
     """
 
     stream: StreamConfig = field(default_factory=StreamConfig)
@@ -261,7 +237,7 @@ class ReplayReport:
             f"max={max(self.latencies_ms) if self.latencies_ms else 0.0:.3f}",
             f"decision cache hits: {self.engine.get('decision_cache_hits', 0)}",
         ]
-        if self.batches:
+        if self.batches < self.queries:  # windows wider than one query
             lines.append(
                 f"batched: {self.batches} batches, "
                 f"{self.folded_queries} duplicate queries folded"
@@ -287,22 +263,22 @@ def _tally(
 ) -> None:
     """Count one answered query into ``report``.
 
-    The one place the replays count plans: by kind, and per view in
+    The one place the replays count plans: by width, and per view in
     ``plans_by_view`` (an intersection plan counts under its views'
     names joined by ``∩``).  ``distinct`` collects the query keys.
     """
     report.queries += 1
     report.answers_total += len(answers)
     distinct.add(query.memo_key())
-    if plan.kind == "view":
-        report.view_plans += 1
-        label = plan.view_name
-    elif plan.kind == "intersection":
-        report.intersection_plans += 1
-        label = "∩".join(sorted(part.view_name for part in plan.parts))
-    else:
+    if not plan.parts:
         report.direct_plans += 1
         return
+    if len(plan.parts) == 1:
+        report.view_plans += 1
+        label = plan.parts[0].view_name
+    else:
+        report.intersection_plans += 1
+        label = "∩".join(sorted(part.view_name for part in plan.parts))
     report.plans_by_view[label] = report.plans_by_view.get(label, 0) + 1
 
 
@@ -310,16 +286,27 @@ def replay_stream(
     engine: QueryEngine,
     queries: Sequence[Pattern],
     document: str,
+    batch_size: int = 1,
     verify: bool = False,
 ) -> ReplayReport:
-    """Replay a query sequence through an engine, one plan+execute each.
+    """Replay a query sequence in windows of ``batch_size`` queries.
 
-    The engine's own counters (and the containment stats) are snapshotted
-    around the run, so the report reflects exactly this replay even on a
-    warm engine.
+    Each window is one :meth:`~repro.views.engine.QueryEngine.answer_many`
+    call, so duplicate queries inside it are planned and executed once;
+    ``batch_size=1`` replays query by query.  Per-query latencies are
+    the window's wall time divided evenly across its queries; counters
+    are exact.  The engine's counters (and the containment stats) are
+    snapshotted around the run, so the report reflects exactly this
+    replay even on a warm engine.  ``verify`` cross-checks each
+    *distinct* view-backed query (single-view or intersection plan) of
+    a window against direct evaluation, outside the timed window, and
+    counts a mismatch once per affected query.
     """
+    if batch_size < 1:
+        raise WorkloadError("batch_size must be >= 1")
     report = ReplayReport()
-    before = _counter_snapshots(engine)
+    engine_before = engine.stats.snapshot()
+    containment_before = CONTAINMENT_STATS.snapshot()
     registry = current_registry()
     latency_hist = (
         registry.histogram("replay.query_seconds")
@@ -327,102 +314,42 @@ def replay_stream(
         else None
     )
     distinct: set[int] = set()
-    for query in queries:
-        t0 = time.perf_counter()
-        # One trace per replayed query — the replay-side mint point
-        # (the serving tier's is front-end admission).
-        with root("replay.query", index=report.queries) as scope:
-            plan = engine.plan(query, document)
-            scope.set(kind=plan.kind)
-            if plan.kind == "view":
-                assert plan.view_name is not None
-                answers = engine.answer_with_view(
-                    query, plan.view_name, document
-                )
-            elif plan.kind == "intersection":
-                answers = engine.answer_with_intersection(
-                    query, plan, document
-                )
-            else:
-                answers = engine.answer_direct(query, document)
-        elapsed_query = time.perf_counter() - t0
-        if latency_hist is not None:
-            latency_hist.observe(elapsed_query)
-        report.latencies_ms.append(elapsed_query * 1000.0)
-        _tally(report, distinct, query, plan, answers)
-        # Only view-backed answers (single-view or intersection) can
-        # differ from direct evaluation (direct plans *are* a store
-        # evaluation), so only they are worth the extra cross-check —
-        # done outside the timed window so throughput and latencies
-        # describe the same work.
-        if (
-            verify
-            and plan.kind != "direct"
-            and answers != engine.store.evaluate(query, document)
-        ):
-            report.verified_mismatches += 1
-    # Elapsed is the sum of the per-query timings, so throughput and the
-    # latency percentiles describe exactly the same measured work.
-    report.elapsed_seconds = sum(report.latencies_ms) / 1000.0
-    report.distinct_queries = len(distinct)
-    _fill_counter_deltas(report, engine, before)
-    return report
-
-
-def replay_batched(
-    engine: QueryEngine,
-    queries: Sequence[Pattern],
-    document: str,
-    batch_size: int,
-    verify: bool = False,
-) -> ReplayReport:
-    """Replay a query sequence in batches through ``answer_many``.
-
-    Consecutive windows of ``batch_size`` queries are folded through
-    :meth:`~repro.views.engine.QueryEngine.answer_many`, so duplicate
-    queries inside a window are planned and executed once.  Per-query
-    latencies are the batch wall time divided evenly across its queries
-    (individual timings do not exist in a folded batch); counters are
-    exact.  ``verify`` cross-checks each *distinct* view-backed query
-    (single-view or intersection plan) per batch against direct
-    evaluation and counts a mismatch once per affected query, matching
-    :func:`replay_stream`'s semantics.
-    """
-    if batch_size < 1:
-        raise WorkloadError("batch_size must be >= 1")
-    report = ReplayReport()
-    before = _counter_snapshots(engine)
-    distinct: set[int] = set()
     for start in range(0, len(queries), batch_size):
         chunk = list(queries[start : start + batch_size])
+        # One trace per window — the replay-side mint point (the
+        # serving tier's is front-end admission).
         with root(
             "replay.batch", window=report.batches, size=len(chunk)
         ):
             result = engine.answer_many(chunk, document)
         report.batches += 1
         report.folded_queries += result.folded_queries
-        per_query_ms = result.elapsed_seconds * 1000.0 / len(chunk)
-        report.latencies_ms.extend([per_query_ms] * len(chunk))
+        per_query = result.elapsed_seconds / len(chunk)
+        report.latencies_ms.extend([per_query * 1000.0] * len(chunk))
+        # Direct plans *are* a store evaluation, so only view-backed
+        # answers are worth the cross-check; duplicates share the
+        # verdict of their first occurrence (evaluation is
+        # deterministic).
+        verdicts: dict[int, bool] = {}
         for query, plan, answers in zip(chunk, result.plans, result.answers):
+            if latency_hist is not None:
+                latency_hist.observe(per_query)
             _tally(report, distinct, query, plan, answers)
-        if verify:
-            # One direct evaluation per distinct view-backed query;
-            # duplicates share its verdict (evaluation is deterministic,
-            # so this counts exactly what per-query checking would).
-            verdicts: dict[int, bool] = {}
-            for query, plan, answers in zip(chunk, result.plans, result.answers):
-                if plan.kind == "direct":
-                    continue
+            if verify and plan.parts:
                 key = query.memo_key()
                 if key not in verdicts:
                     verdicts[key] = (
                         answers != engine.store.evaluate(query, document)
                     )
-                if verdicts[key]:
-                    report.verified_mismatches += 1
+                report.verified_mismatches += verdicts[key]
+    # Elapsed is the sum of the per-query timings, so throughput and the
+    # latency percentiles describe exactly the same measured work.
     report.elapsed_seconds = sum(report.latencies_ms) / 1000.0
     report.distinct_queries = len(distinct)
-    _fill_counter_deltas(report, engine, before)
+    report.engine = _delta(engine.stats.snapshot(), engine_before)
+    report.containment = _delta(
+        CONTAINMENT_STATS.snapshot(), containment_before
+    )
     return report
 
 
@@ -633,25 +560,23 @@ def replay_catalog(
                 _tally(tallies[doc_id], distinct[doc_id], query, plan, answers)
                 if (
                     config.verify
-                    and plan.kind != "direct"
+                    and plan.parts
                     and answers
                     != catalog.entry(doc_id).store.evaluate(query, doc_id)
                 ):
                     report.verified_mismatches += 1
         report.elapsed_seconds = time.perf_counter() - t0
 
-        containment_after = CONTAINMENT_STATS.snapshot()
-        report.containment = {
-            key: containment_after[key] - containment_before[key]
-            for key in containment_after
-        }
+        report.containment = _delta(
+            CONTAINMENT_STATS.snapshot(), containment_before
+        )
         report.containment["cache_limit"] = cache_limit()
         report.containment["engine_cache_limit"] = engine_cache_limit()
         for doc_id in report.documents:
-            after = catalog.entry(doc_id).engine.stats.snapshot()
-            engine = {
-                key: after[key] - engine_before[doc_id][key] for key in after
-            }
+            engine = _delta(
+                catalog.entry(doc_id).engine.stats.snapshot(),
+                engine_before[doc_id],
+            )
             tally = tallies[doc_id]
             report.per_document[doc_id] = {
                 "queries": tally.queries,
@@ -689,8 +614,8 @@ def replay_workload(
     disk-backed snapshot log: the first run evaluates and saves every
     advised view (cold start) and subsequent runs load them (warm
     store) — the report's ``backend`` section says which happened.
-    With ``config.batch_size > 1`` the stream is replayed through
-    :func:`replay_batched` instead of :func:`replay_stream`.
+    The stream is replayed by :func:`replay_stream` in windows of
+    ``config.batch_size``.
     """
     config = config or ReplayConfig()
     clear_cache()
@@ -723,18 +648,13 @@ def replay_workload(
                 chosen.append(name)
 
         engine = QueryEngine(store, solver=RewriteSolver(use_fallback=False))
-        if config.batch_size > 1:
-            report = replay_batched(
-                engine,
-                sample.queries,
-                DOCUMENT,
-                config.batch_size,
-                verify=config.verify,
-            )
-        else:
-            report = replay_stream(
-                engine, sample.queries, DOCUMENT, verify=config.verify
-            )
+        report = replay_stream(
+            engine,
+            sample.queries,
+            DOCUMENT,
+            config.batch_size,
+            verify=config.verify,
+        )
         report.views = chosen
         # The LRU limits shape the cache counters; record them so reports
         # from different cache configurations never compare equal.

@@ -7,7 +7,7 @@ import pytest
 from repro.patterns.parse import parse_pattern
 from repro.views.engine import QueryEngine
 from repro.views.store import ViewStore
-from repro.workloads.replay import replay_batched, replay_stream
+from repro.workloads.replay import replay_stream
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
 
@@ -68,12 +68,12 @@ class TestAnswerMany:
         batch = [parse_pattern(x) for x in QUERIES]
         result = engine.answer_many(batch, "doc")
         for query, plan, answers in zip(batch, result.plans, result.answers):
+            # Every width (direct, view, intersection) answers P(t).
+            assert answers == engine.store.evaluate(query, "doc")
             if plan.kind == "view":
                 assert answers == engine.answer_with_view(
-                    query, plan.view_name, "doc"
+                    query, plan.parts[0].view_name, "doc"
                 )
-            else:
-                assert answers == engine.store.evaluate(query, "doc")
 
 
 class TestReplayBatched:
@@ -88,7 +88,7 @@ class TestReplayBatched:
             return QueryEngine(store)
 
         single = replay_stream(fresh_engine(), sample.queries, "doc", verify=True)
-        batched = replay_batched(
+        batched = replay_stream(
             fresh_engine(), sample.queries, "doc", batch_size=8, verify=True
         )
         assert batched.queries == single.queries
@@ -98,5 +98,9 @@ class TestReplayBatched:
         assert batched.answers_total == single.answers_total
         assert batched.plans_by_view == single.plans_by_view
         assert batched.verified_mismatches == single.verified_mismatches == 0
+        assert single.batches == 40
         assert batched.batches == 5
         assert batched.folded_queries > 0
+        # Only windows wider than one query earn the summary's batch line.
+        assert "batched:" not in single.summary()
+        assert "batched: 5 batches" in batched.summary()

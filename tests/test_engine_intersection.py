@@ -78,16 +78,6 @@ class TestPlanning:
         engine.plan(no_plan, "doc")
         assert engine.stats.intersection_attempts == 2
 
-    def test_intersections_flag_disables_search(self, halved, p):
-        engine = QueryEngine(halved, intersections=False)
-        plan = engine.plan(p(QUERY), "doc")
-        assert plan.kind == "direct"
-        assert engine.stats.intersection_attempts == 0
-
-    def test_width_must_be_at_least_two(self, halved):
-        with pytest.raises(ViewEngineError):
-            QueryEngine(halved, max_intersection_width=1)
-
     def test_views_rooted_elsewhere_start_no_search(self, t, p):
         # Embeddings keep the root: no composition over a b-rooted view
         # can contain the a-rooted query, so no search runs and no
@@ -161,9 +151,7 @@ class TestExecution:
     def test_executing_a_non_intersection_plan_rejected(self, halved, p):
         engine = QueryEngine(halved)
         with pytest.raises(ViewEngineError):
-            engine.answer_with_intersection(
-                p(QUERY), QueryPlan(kind="direct"), "doc"
-            )
+            engine.answer_with_intersection(p(QUERY), QueryPlan(), "doc")
 
 
 class TestSoundnessProperty:
@@ -175,8 +163,10 @@ class TestSoundnessProperty:
         Fragmenting a random query yields two structurally weaker
         half-views; serving the query through a store holding exactly
         those views must agree with direct evaluation — as a view plan,
-        an intersection plan, or a direct plan alike.  When the plan is
-        an intersection, the full observational chain is re-checked.
+        an intersection plan, or a direct plan alike.  The plan's kind
+        is its width, and every part names a stored view.  When the
+        plan is an intersection, the full observational chain is
+        re-checked.
         """
         pair = fragment_views(pattern)
         if pair is None:
@@ -188,5 +178,8 @@ class TestSoundnessProperty:
         store.define_view("half-1", pair[1])
         engine = QueryEngine(store, tractable_only=False)
         assert engine.answer(pattern, "doc") == evaluate(pattern, tree)
-        if engine.plan(pattern, "doc").kind == "intersection":
+        plan = engine.plan(pattern, "doc")
+        assert plan.kind == ("direct", "view", "intersection")[len(plan.parts)]
+        assert {part.view_name for part in plan.parts} <= {"half-0", "half-1"}
+        if plan.kind == "intersection":
             assert engine.verify_intersection(pattern, "doc") is True

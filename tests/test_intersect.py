@@ -107,6 +107,19 @@ class TestMergeParts:
         assert merged is not None
         assert contains(merged, target) and contains(target, merged)
 
+    def test_forced_spine_merges_in_both_regimes(self, p):
+        # The half-views a[w]/b and a[z]/b, each compensated by b/c:
+        # their compositions over-approximate the query, and on a fully
+        # forced spine both regimes merge them back to it exactly.
+        query = p("a[w][z]/b/c")
+        parts = [p("a[w]/b/c"), p("a[z]/b/c")]
+        for part in parts:
+            assert contains(query, part)
+        for tractable_only in (True, False):
+            merged = merge_parts(parts, tractable_only=tractable_only)
+            assert merged is not None
+            assert contains(merged, query) and contains(query, merged)
+
     def test_undominated_unforced_segment_rejected(self, p):
         # Disjoint branch sets at the unforced position: no part can
         # witness the whole segment, even in the intractable regime.

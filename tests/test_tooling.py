@@ -1,4 +1,5 @@
-"""The repo's stdlib lint tooling (``tools/lint_exceptions.py``)."""
+"""The repo's tooling: the stdlib lint (``tools/lint_exceptions.py``)
+and the names perfbench's outside-in tracer patches."""
 
 from __future__ import annotations
 
@@ -353,3 +354,30 @@ class TestObservabilityClockRule:
             "stamp = time.time()\n"
         )
         assert len(lint.run_lint([bad])) == 1
+
+
+class TestPerfbenchTracer:
+    """``perfbench/tracing.py`` patches serving methods by name.
+
+    ``Tracer.install`` reads each method from its class's ``__dict__``,
+    so renaming or removing one (``QueryEngine.answer_with_view``, say)
+    is a ``KeyError`` here rather than only in ``make trace-check``.
+    """
+
+    def test_install_patches_and_uninstall_restores(self):
+        from perfbench.tracing import METHODS, Tracer
+
+        from repro.views.engine import QueryEngine
+
+        originals = {
+            (cls, name): cls.__dict__[name] for _, cls, name in METHODS
+        }
+        assert QueryEngine in {cls for cls, _ in originals}
+        tracer = Tracer().install()
+        try:
+            for (cls, name), original in originals.items():
+                assert cls.__dict__[name] is not original
+        finally:
+            tracer.uninstall()
+        for (cls, name), original in originals.items():
+            assert cls.__dict__[name] is original

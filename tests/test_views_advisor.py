@@ -154,11 +154,13 @@ class TestSelectionSerialization:
 
 
 class TestIntersectionPairs:
-    """Pair crediting behind the ``tractable_only`` toggle.
+    """The advisor selects single views and credits no view pairs.
 
     The scenario mirrors the multi-provider regime: the two prefix
-    views *are* heavy workload queries (so singles choose them), and a
-    third query is answerable only by their intersection.
+    views *are* heavy workload queries (so the greedy chooses them), and
+    a third query is answerable only by their intersection.  The advisor
+    leaves that query uncovered; the engine plans the intersection over
+    the chosen views itself (``tests/test_engine_intersection.py``).
     """
 
     QUERIES = ["a[w]/b", "a[z]/b", "a[w][z]/b/c"]
@@ -179,93 +181,14 @@ class TestIntersectionPairs:
             }
         )
 
-    def _advise(self, pair_sample, **kwargs):
-        return advise_views(
+    def test_default_run_has_no_pairs(self, pair_sample):
+        result = advise_views(
             [parse_pattern(x) for x in self.QUERIES],
             weights=self.WEIGHTS,
             max_views=2,
             sample=pair_sample,
-            **kwargs,
         )
-
-    def test_default_run_has_no_pairs(self, pair_sample):
-        result = self._advise(pair_sample)
-        assert result.pairs == []
+        assert [view.pattern for view in result.views] == [
+            parse_pattern(x) for x in self.QUERIES[:2]
+        ]
         assert result.uncovered == [2]
-        assert result.stats.intersection_pairs_scored == 0
-
-    def test_pair_credits_the_intersection_query(self, pair_sample):
-        result = self._advise(pair_sample, tractable_only=False)
-        # The singles phase is untouched: same two views, same coverage.
-        default = self._advise(pair_sample)
-        assert [v.pattern for v in result.views] == [
-            v.pattern for v in default.views
-        ]
-        assert result.coverage == default.coverage
-        # ... but the pair phase credits the third query.
-        assert result.uncovered == []
-        assert len(result.pairs) == 1
-        pair = result.pairs[0]
-        assert set(pair.view_indexes) == {0, 1}
-        assert pair.covered == {2}
-        assert pair.benefit == self.WEIGHTS[2]
-        assert sorted(pair.rewritings) == [2]
-        assert result.stats.intersection_pairs_selected == 1
-        assert result.stats.intersection_pairs_scored >= 1
-
-    def test_pair_rewritings_verify_through_merge(self, pair_sample):
-        from repro.core.composition import compose
-        from repro.core.containment import contains
-        from repro.core.intersect import merge_parts
-
-        result = self._advise(pair_sample, tractable_only=False)
-        pair = result.pairs[0]
-        query = parse_pattern(self.QUERIES[2])
-        compositions = [
-            compose(compensation, result.views[vi].pattern)
-            for compensation, vi in zip(
-                pair.rewritings[2], pair.view_indexes
-            )
-        ]
-        merged = merge_parts(compositions, tractable_only=False)
-        assert merged is not None
-        assert contains(merged, query) and contains(query, merged)
-        for composition in compositions:
-            assert contains(query, composition)
-
-    def test_fingerprint_distinguishes_the_toggle(self):
-        from repro.views.advisor import selection_fingerprint
-
-        queries = [parse_pattern(x) for x in self.QUERIES]
-        default = selection_fingerprint(queries, max_views=2)
-        explicit = selection_fingerprint(
-            queries, max_views=2, tractable_only=True
-        )
-        toggled = selection_fingerprint(
-            queries, max_views=2, tractable_only=False
-        )
-        # Historical fingerprints (no toggle argument) stay byte-valid.
-        assert default == explicit
-        assert toggled != default
-
-    def test_serialized_payload_carries_pairs_only_when_present(
-        self, pair_sample
-    ):
-        import json
-
-        from repro.views.advisor import (
-            deserialize_selection,
-            serialize_selection,
-        )
-
-        default = serialize_selection(self._advise(pair_sample))
-        assert "pairs" not in default
-        toggled = serialize_selection(
-            self._advise(pair_sample, tractable_only=False)
-        )
-        assert toggled["pairs"] == [
-            {"views": [0, 1], "benefit": self.WEIGHTS[2], "covered": [2]}
-        ]
-        json.dumps(toggled)  # payload must stay JSON-safe
-        # Warm-start reconstruction reads the views either way.
-        assert len(deserialize_selection(toggled)) == len(toggled["views"])

@@ -26,12 +26,12 @@ class TestPlanning:
     def test_view_plan_preferred(self, engine, p):
         plan = engine.plan(p("a/b/c"), "doc")
         assert plan.kind == "view"
-        assert plan.view_name in ("ab", "anything_b")
+        assert plan.parts[0].view_name in ("ab", "anything_b")
 
     def test_smallest_view_chosen(self, engine, p):
         # a//b stores 3 answers, a/b stores 2: prefer 'ab'.
         plan = engine.plan(p("a/b/c"), "doc")
-        assert plan.view_name == "ab"
+        assert plan.parts[0].view_name == "ab"
 
     def test_direct_plan_when_unrewritable(self, engine, p):
         plan = engine.plan(p("z/q"), "doc")
@@ -54,7 +54,7 @@ class TestPlanning:
         query = p("a/*//b")
         plan = engine.plan(query, "doc")
         assert plan.kind == "view"
-        assert plan.view_name == "v"
+        assert plan.parts[0].view_name == "v"
         assert plan.rewrite_result.rule == "natural-candidate"
         assert engine.verify_plan(query, "v", "doc")
 
