@@ -10,16 +10,21 @@ call.  A :class:`Catalog` owns
   or :class:`~repro.catalog.sqlite_backend.SqliteBackend`) holding every
   document's materializations and advisor selections, keyed by document
   digest so documents never collide;
-* one **`ViewStore` + `QueryEngine` per registered document** — the
-  engines get the cross-batch answer cache turned on, validated by the
-  store's document digest;
-* a **router** (:meth:`route`) dispatching ``(document id, query)``
+* one **`ViewStore` + `QueryEngine` per registered document**;
+* the serving tier's **batch step** (:meth:`answer_many`): XPath texts
+  in, sorted preorder ids out.  It holds the one cross-batch answer
+  cache, keyed by ``(document, XPath text)`` and checked before any
+  parsing; every hit is validated against the store's current document
+  digest.  A repeated read is answered from what is already stored
+  (Prop 2.4's premise) without parsing, planning or execution;
+* a **router** (:meth:`route`) dispatching ``(document id, Pattern)``
   requests: requests are grouped per document preserving input order,
   answered through each engine's batched
   :meth:`~repro.views.engine.QueryEngine.answer_many` (duplicates fold
-  within a group), and scattered back in request order.  An unknown
-  document id raises :class:`~repro.errors.UnknownDocumentError` — a
-  typed library error, never a bare ``KeyError``.
+  within a group; no cross-batch cache), and scattered back in request
+  order.  An unknown document id raises
+  :class:`~repro.errors.UnknownDocumentError` — a typed library error,
+  never a bare ``KeyError``.
 
 Warm starts
 -----------
@@ -35,9 +40,10 @@ persists the selection for the next process.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.rewrite import RewriteSolver
 from ..errors import CatalogError, UnknownDocumentError
@@ -58,22 +64,37 @@ from ..xmltree.node import TNode
 from ..xmltree.tree import XMLTree
 from .sqlite_backend import SqliteBackend
 
-__all__ = ["Catalog", "CatalogAdvice", "CatalogEntry", "RoutedAnswer"]
+__all__ = [
+    "Catalog",
+    "CatalogAdvice",
+    "CatalogEntry",
+    "RoutedAnswer",
+    "ServedBatch",
+]
 
-#: Default capacity of each engine's cross-batch answer cache.
+#: Default capacity of each document's cross-batch answer cache.
 DEFAULT_ANSWER_CACHE = 512
 
 
 @dataclass
 class CatalogEntry:
-    """One registered document and its serving machinery."""
+    """One registered document and its serving machinery.
+
+    ``answers`` is the document's answer cache: XPath text →
+    ``(document digest, sorted preorder ids, plan kind)``, least
+    recently used first; ``answer_cache_hits`` counts the reads it
+    served.
+    """
 
     doc_id: str
-    digest: str
     tree: XMLTree
     store: ViewStore
     engine: QueryEngine
     views: list[str] = field(default_factory=list)
+    answers: "OrderedDict[str, tuple[str, tuple[int, ...], str]]" = field(
+        default_factory=OrderedDict
+    )
+    answer_cache_hits: int = 0
 
 
 @dataclass
@@ -90,6 +111,19 @@ class CatalogAdvice:
     views: list[str]
     fingerprint: str
     warm: bool
+
+
+class ServedBatch(NamedTuple):
+    """Outcome of one :meth:`Catalog.answer_many` call, in request order.
+
+    ``answers`` holds each read's sorted preorder ids (a fresh list per
+    read), ``kinds`` its plan kind, and ``folded_queries`` the
+    duplicates the engine folded among the cache misses.
+    """
+
+    answers: list[list[int]]
+    kinds: list[str]
+    folded_queries: int
 
 
 @dataclass
@@ -122,7 +156,8 @@ class Catalog:
         An explicit shared backend instance (the catalog takes
         ownership and closes it).
     answer_cache_size:
-        Per-engine cross-batch answer cache capacity (0 disables).
+        Capacity of each document's answer cache in :meth:`answer_many`,
+        in XPath texts (0 disables it).
     max_models:
         Canonical-model budget handed to each engine's solver and the
         advisor (None = unbounded).
@@ -155,6 +190,8 @@ class Catalog:
                 "fault_policy rides on the SQLite backend — pass db_path "
                 "(an explicit backend carries its own policy)"
             )
+        if answer_cache_size < 0:
+            raise CatalogError("answer_cache_size must be >= 0")
         if backend is None:
             backend = (
                 SqliteBackend(db_path, fault_policy=fault_policy)
@@ -179,15 +216,10 @@ class Catalog:
         engine = QueryEngine(
             store,
             solver=RewriteSolver(use_fallback=False, max_models=self.max_models),
-            answer_cache_size=self.answer_cache_size,
             tractable_only=self.tractable_only,
         )
         entry = CatalogEntry(
-            doc_id=doc_id,
-            digest=store.document_digest(doc_id),
-            tree=tree,
-            store=store,
-            engine=engine,
+            doc_id=doc_id, tree=tree, store=store, engine=engine
         )
         self._entries[doc_id] = entry
         return entry
@@ -207,8 +239,13 @@ class Catalog:
         return sorted(self._entries)
 
     def document_digest(self, doc_id: str) -> str:
-        """The registered document's shape digest (the persistence key)."""
-        return self.entry(doc_id).digest
+        """The document's current shape digest (the persistence key).
+
+        Read from the store on every call, so it follows a
+        :meth:`ViewStore.refresh <repro.views.store.ViewStore.refresh>`
+        that changed the document's shape.
+        """
+        return self.entry(doc_id).store.document_digest(doc_id)
 
     # ------------------------------------------------------------------
     # Advising (with persisted-selection warm starts)
@@ -241,9 +278,10 @@ class Catalog:
             max_views=max_views,
             max_models=self.max_models,
         )
+        digest = entry.store.document_digest(doc_id)
         patterns: list[Pattern] | None = None
         warm = False
-        payload = self.backend.load_selection(entry.digest, fingerprint)
+        payload = self.backend.load_selection(digest, fingerprint)
         if payload is not None:
             try:
                 patterns = deserialize_selection(payload)
@@ -260,7 +298,7 @@ class Catalog:
             )
             patterns = [view.pattern for view in advice.views]
             self.backend.save_selection(
-                entry.digest, fingerprint, serialize_selection(advice)
+                digest, fingerprint, serialize_selection(advice)
             )
         for rank, pattern in enumerate(patterns):
             name = f"view-{rank}"
@@ -305,28 +343,59 @@ class Catalog:
         entry = self.entry(doc_id)
         return entry.engine.answer(query, doc_id)
 
-    def answer_many(
-        self, doc_id: str, queries: Sequence[Pattern]
-    ) -> BatchAnswer:
-        """Answer a batch on one document through the engine's fold."""
-        entry = self.entry(doc_id)
-        return entry.engine.answer_many(queries, doc_id)
-
-    def answer_xpaths(
-        self, doc_id: str, xpaths: Sequence[str]
-    ) -> tuple[list[list[int]], list[str]]:
+    def answer_many(self, doc_id: str, xpaths: Sequence[str]) -> ServedBatch:
         """The serving tier's batch step: XPaths in, encoded answers out.
 
-        Parses ``xpaths``, answers them through :meth:`answer_many` and
-        returns each answer as sorted preorder ids (:meth:`node_ids`)
-        together with its plan kind.  Every serving path — inline, pool
-        worker, degraded fallback, replica, writer — ends here, so all
-        of them return the same process-independent encoding.
+        Every serving path — inline, pool worker, degraded fallback,
+        replica, writer — calls it once per dispatched batch, so all of
+        them return the same process-independent encoding: each answer
+        as sorted preorder ids (:meth:`node_ids`) with its plan kind.
+
+        Each XPath text is first looked up in the document's answer
+        cache, before any parsing.  A hit must carry the store's
+        current document digest (a :meth:`ViewStore.refresh
+        <repro.views.store.ViewStore.refresh>` that moved it turns the
+        read into a miss); it returns a fresh list and the kind of the
+        plan that first answered that text.  Only the misses are parsed
+        (once per distinct text), answered through the engine's
+        :meth:`~repro.views.engine.QueryEngine.answer_many` and stored,
+        least recently used evicted first.  ``P(t)`` does not depend on
+        the view set, so defining views invalidates nothing.
         """
-        queries = [parse_pattern(x) for x in xpaths]
-        batch = self.answer_many(doc_id, queries)
-        ids = [self.node_ids(doc_id, answer) for answer in batch.answers]
-        return ids, [plan.kind for plan in batch.plans]
+        entry = self.entry(doc_id)
+        digest = entry.store.document_digest(doc_id)
+        cache = entry.answers
+        answers: list[list[int]] = [[]] * len(xpaths)
+        kinds: list[str] = [""] * len(xpaths)
+        misses: list[int] = []
+        for position, xpath in enumerate(xpaths):
+            cached = cache.get(xpath)
+            if cached is not None and cached[0] == digest:
+                cache.move_to_end(xpath)
+                answers[position] = list(cached[1])
+                kinds[position] = cached[2]
+            else:
+                misses.append(position)
+        entry.answer_cache_hits += len(xpaths) - len(misses)
+        if not misses:
+            return ServedBatch(answers, kinds, 0)
+        parsed: dict[str, Pattern] = {}
+        for position in misses:
+            if xpaths[position] not in parsed:
+                parsed[xpaths[position]] = parse_pattern(xpaths[position])
+        batch = entry.engine.answer_many(
+            [parsed[xpaths[position]] for position in misses], doc_id
+        )
+        for position, answer, plan in zip(misses, batch.answers, batch.plans):
+            ids = entry.store.node_ids(doc_id, answer)
+            answers[position] = ids
+            kinds[position] = kind = plan.kind
+            if self.answer_cache_size:
+                cache[xpaths[position]] = (digest, tuple(ids), kind)
+                cache.move_to_end(xpaths[position])
+        while len(cache) > self.answer_cache_size:
+            cache.popitem(last=False)
+        return ServedBatch(answers, kinds, batch.folded_queries)
 
     def route(
         self, requests: Sequence[tuple[str, Pattern]]
@@ -337,7 +406,9 @@ class Catalog:
         :class:`~repro.errors.UnknownDocumentError` otherwise, before
         any work runs), grouped per document preserving input order,
         answered with one :meth:`~repro.views.engine.QueryEngine.answer_many`
-        call per group, and scattered back in request order.
+        call per group, and scattered back in request order.  It
+        serves Pattern requests (replays, tests) and keeps no answer
+        cache: every distinct query of a group is planned and executed.
         """
         with span("catalog.route", requests=len(requests)) as scope:
             grouped: dict[str, list[int]] = {}
@@ -350,8 +421,8 @@ class Catalog:
                 plans=[QueryPlan()] * len(requests),
             )
             for doc_id, indexes in grouped.items():
-                batch = self.answer_many(
-                    doc_id, [requests[index][1] for index in indexes]
+                batch = self._entries[doc_id].engine.answer_many(
+                    [requests[index][1] for index in indexes], doc_id
                 )
                 routed.groups[doc_id] = batch
                 for position, index in enumerate(indexes):
@@ -373,13 +444,18 @@ class Catalog:
         warm or cold — backend hit/save counters are exactly what a warm
         start changes, so they are deliberately *not* here (mirror of
         :meth:`ReplayReport.counters
-        <repro.workloads.replay.ReplayReport.counters>`).
+        <repro.workloads.replay.ReplayReport.counters>`).  The ``engine``
+        section also carries ``answer_cache_hits``: the reads
+        :meth:`answer_many` served from the document's answer cache.
         """
         return {
             doc_id: {
-                "digest": entry.digest,
+                "digest": entry.store.document_digest(doc_id),
                 "views": list(entry.views),
-                "engine": entry.engine.stats.snapshot(),
+                "engine": {
+                    **entry.engine.stats.snapshot(),
+                    "answer_cache_hits": entry.answer_cache_hits,
+                },
             }
             for doc_id, entry in sorted(self._entries.items())
         }
@@ -412,7 +488,10 @@ class Catalog:
         pruner = getattr(self.backend, "prune", None)
         if pruner is None:
             return 0
-        live = {entry.digest for entry in self._entries.values()}
+        live = {
+            entry.store.document_digest(doc_id)
+            for doc_id, entry in self._entries.items()
+        }
         return pruner(live, ttl_seconds=ttl_seconds, clock=clock)
 
     def close(self) -> None:

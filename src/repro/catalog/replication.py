@@ -65,7 +65,7 @@ from ..faults import FaultPolicy, raise_injected
 from ..obs import span
 from ..obs.metrics import StatsBase
 from ..views.persist import SnapshotBackend
-from .catalog import Catalog
+from .catalog import Catalog, ServedBatch
 from .server import CatalogSpec, build_catalog
 
 __all__ = ["Replica", "ReplicaSet", "ReplicationStats"]
@@ -368,9 +368,7 @@ class ReplicaSet:
         self.stats.evictions += 1
         self.stats.failover_retries += 1
 
-    def execute(
-        self, doc_id: str, xpaths: list[str]
-    ) -> tuple[list[list[int]], list[str]]:
+    def execute(self, doc_id: str, xpaths: list[str]) -> ServedBatch:
         """Answer one per-document batch through the failure ladder.
 
         Healthy replicas are tried round-robin: a crash evicts the
@@ -395,7 +393,7 @@ class ReplicaSet:
                 try:
                     self._check_lag(replica)
                     self._inject("serve", replica.index)
-                    result = replica.catalog.answer_xpaths(doc_id, xpaths)
+                    result = replica.catalog.answer_many(doc_id, xpaths)
                     replica.serves += len(xpaths)
                     self.stats.replica_answers += len(xpaths)
                     scope.set(served_by=replica.index, failovers=failovers)
@@ -410,7 +408,7 @@ class ReplicaSet:
                     failovers += 1
             self.stats.writer_fallbacks += 1
             scope.set(served_by="writer", failovers=failovers)
-            result = self.writer.answer_xpaths(doc_id, xpaths)
+            result = self.writer.answer_many(doc_id, xpaths)
             self.stats.writer_answers += len(xpaths)
             return result
 
@@ -431,12 +429,12 @@ class ReplicaSet:
         answer_ids: list[list[int]] = [[] for _ in requests]
         plan_kinds: list[str] = [""] * len(requests)
         for doc_id, indexes in grouped.items():
-            ids, kinds = self.execute(
+            served = self.execute(
                 doc_id, [requests[index][1] for index in indexes]
             )
             for position, index in enumerate(indexes):
-                answer_ids[index] = ids[position]
-                plan_kinds[index] = kinds[position]
+                answer_ids[index] = served.answers[position]
+                plan_kinds[index] = served.kinds[position]
         return answer_ids, plan_kinds
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ share pattern/tree objects, which dictates the transport:
   shard, joined to the server by one pipe, rebuilds the catalog from
   the spec.  Each document id maps to one fixed shard (its position in
   the sorted id list, modulo ``workers``), so a document's planning
-  state — decision caches, answer caches, containment engines — lives
+  state — decision caches, its answer cache, containment engines — lives
   in exactly one process and is never recomputed by its siblings;
   throughput scales across *documents*.  Results are read on the
   caller's thread, so the serving process runs no helper thread.  With
@@ -55,7 +55,7 @@ from ..shardpool import ShardPool
 from ..views.persist import StoreBackend
 from ..xmltree.parse import parse_xml, to_xml
 from ..xmltree.tree import XMLTree
-from .catalog import Catalog
+from .catalog import Catalog, ServedBatch
 
 if TYPE_CHECKING:
     from .replication import ReplicaSet
@@ -177,12 +177,10 @@ def _init_worker(spec: CatalogSpec) -> None:
     _WORKER_CATALOG = build_catalog(spec)
 
 
-def _serve_in_worker(
-    doc_id: str, xpaths: list[str]
-) -> tuple[list[list[int]], list[str]]:
-    """Answer one document group in a worker; returns (ids, plan kinds)."""
+def _serve_in_worker(doc_id: str, xpaths: list[str]) -> ServedBatch:
+    """Answer one document group in a worker (the catalog's batch step)."""
     assert _WORKER_CATALOG is not None, "worker initializer did not run"
-    return _WORKER_CATALOG.answer_xpaths(doc_id, xpaths)
+    return _WORKER_CATALOG.answer_many(doc_id, xpaths)
 
 
 @dataclass
@@ -357,22 +355,23 @@ class CatalogServer:
                     )
                     pending.append((future, doc_id, indexes))
                 else:
-                    ids, kinds = self._inline_catalog().answer_xpaths(
-                        doc_id, xpaths
+                    self._scatter(
+                        result,
+                        indexes,
+                        self._inline_catalog().answer_many(doc_id, xpaths),
                     )
-                    self._scatter(result, indexes, ids, kinds)
         for future, doc_id, indexes in pending:
             # Bounded wait: a wedged worker surfaces as a typed error,
             # not a caller blocked forever; a dead one as the future's
             # ShardCrashError.
             try:
-                ids, kinds = self._pool.result(future, self.result_timeout)
+                served = self._pool.result(future, self.result_timeout)
             except FutureTimeoutError:
                 raise RequestTimeout(
                     f"shard worker for {doc_id!r} gave no result within "
                     f"{self.result_timeout}s"
                 ) from None
-            self._scatter(result, indexes, ids, kinds)
+            self._scatter(result, indexes, served)
         result.elapsed_seconds = time.perf_counter() - t0
         return result
 
@@ -442,14 +441,11 @@ class CatalogServer:
 
     @staticmethod
     def _scatter(
-        result: CatalogServeResult,
-        indexes: list[int],
-        ids: list[list[int]],
-        kinds: list[str],
+        result: CatalogServeResult, indexes: list[int], served: ServedBatch
     ) -> None:
         for position, index in enumerate(indexes):
-            result.answer_ids[index] = ids[position]
-            result.plan_kinds[index] = kinds[position]
+            result.answer_ids[index] = served.answers[position]
+            result.plan_kinds[index] = served.kinds[position]
 
     # ------------------------------------------------------------------
     # Reporting / lifecycle

@@ -65,6 +65,7 @@ from ..obs import adopt, current_registry, current_tracer, span
 from ..obs.tracing import OpenSpan
 from ..patterns.ast import Pattern
 from ..patterns.serialize import to_xpath
+from .catalog import ServedBatch
 from .server import _serve_in_worker
 
 if TYPE_CHECKING:
@@ -469,7 +470,7 @@ class AsyncFrontEnd:
                 "serve.batch", doc_id=doc_id, size=len(requests)
             ) as scope:
                 try:
-                    ids, _kinds = await self._execute(doc_id, xpaths, scope)
+                    served = await self._execute(doc_id, xpaths, scope)
                 except asyncio.CancelledError:
                     for req in requests:
                         if not req.future.done():
@@ -484,13 +485,13 @@ class AsyncFrontEnd:
                     return
                 scope.set(outcome="served")
                 self.stats.served += len(requests)
-                for req, answer in zip(requests, ids):
+                for req, answer in zip(requests, served.answers):
                     if not req.future.done():
                         req.future.set_result(answer)
 
     async def _execute(
         self, doc_id: str, xpaths: list[str], scope
-    ) -> tuple[list[list[int]], list[str]]:
+    ) -> ServedBatch:
         """One batch through the shard pool, with retry-once + degrade.
 
         Ladder: attempt → (shard died) restart + retry once → (died
@@ -534,7 +535,7 @@ class AsyncFrontEnd:
                             ShardCrashError,
                             f"inline serve for {doc_id!r}",
                         )
-                    return server._inline_catalog().answer_xpaths(
+                    return server._inline_catalog().answer_many(
                         doc_id, xpaths
                     )
                 if attempt and self._restarts[shard] == restarts:
@@ -558,4 +559,4 @@ class AsyncFrontEnd:
                     raise
         self.stats.inline_degrades += 1
         scope.set(source="degraded_inline")
-        return server._inline_catalog().answer_xpaths(doc_id, xpaths)
+        return server._inline_catalog().answer_many(doc_id, xpaths)

@@ -29,14 +29,12 @@ usually large), and every execution shares the store's per-document
 :class:`~repro.core.embedding.TreeIndex`.  Planning decides each
 (query, view) pair once through the solver, whose Prop 3.1 prechecks
 refute most pairs with no containment test; only views whose root can
-match the query's enter an intersection search.  The per-batch
-:class:`EngineStats` delta comes back on the
-:class:`BatchAnswer`.  Serving loops live a layer up: the catalog's
-async front end (:mod:`repro.catalog.serving`) drains its request queue
-into :meth:`answer_many` batches.  An optional **cross-batch answer
-cache** (``answer_cache_size``) memoizes whole answer sets per
-``(document, query)``, validated against the store's document digest —
-the catalog layer (:mod:`repro.catalog`) turns it on for its engines.
+match the query's enter an intersection search.  Serving loops live a
+layer up: the catalog's async front end (:mod:`repro.catalog.serving`)
+drains its request queue into :meth:`Catalog.answer_many
+<repro.catalog.catalog.Catalog.answer_many>` batches, and that batch
+step holds the one cross-batch answer cache, keyed by XPath text ahead
+of parsing.  The engine plans and executes every query it is handed.
 
 Performance knobs
 -----------------
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -131,12 +128,9 @@ class EngineStats(StatsBase):
     ``decision_cache_hits`` counts rewrite decisions served from the
     per-engine cache instead of the solver — the number the replay
     harness reports as plan-cache effectiveness on repeating streams.
-    ``answer_cache_hits`` counts whole *answers* served from the
-    cross-batch answer cache (disabled unless the engine was built with
-    ``answer_cache_size > 0``).  ``intersection_attempts`` counts
-    intersection *searches* that ran (only when no single view answers,
-    at least two views can match the query's root, and the per-engine
-    intersection cache has no entry),
+    ``intersection_attempts`` counts intersection *searches* that ran
+    (only when no single view answers, at least two views can match the
+    query's root, and the per-engine intersection cache has no entry),
     ``intersection_plans`` the searches that produced a verified plan,
     and ``intersection_answers`` plan executions.
     """
@@ -146,7 +140,6 @@ class EngineStats(StatsBase):
     rewrites_attempted: int = 0
     rewrites_found: int = 0
     decision_cache_hits: int = 0
-    answer_cache_hits: int = 0
     intersection_attempts: int = 0
     intersection_plans: int = 0
     intersection_answers: int = 0
@@ -168,8 +161,6 @@ class BatchAnswer:
     folded_queries:
         Duplicates served from the batch fold without planning or
         execution (``len(answers) - distinct_queries``).
-    stats:
-        The :class:`EngineStats` delta attributable to this batch.
     elapsed_seconds:
         Wall time for the whole batch.
     """
@@ -178,7 +169,6 @@ class BatchAnswer:
     plans: list[QueryPlan] = field(default_factory=list)
     distinct_queries: int = 0
     folded_queries: int = 0
-    stats: dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     @property
@@ -198,17 +188,6 @@ class QueryEngine:
         The view store holding documents and materialized views.
     solver:
         Rewriting solver (defaults to the paper's full solver).
-    answer_cache_size:
-        Capacity of the cross-batch answer cache (0 — the default —
-        disables it).  When enabled, whole answer sets are memoized by
-        ``(document name, query memo_key)`` and validated on every hit
-        against the store's current document digest, so an in-place
-        mutation followed by :meth:`ViewStore.refresh
-        <repro.views.store.ViewStore.refresh>` can never serve a stale
-        answer — the digest token moved, the entry is dropped.  Entries
-        are stored as frozen copies and every hit returns a *fresh*
-        mutable set, so callers may mutate returned answers freely
-        without corrupting later hits.
     tractable_only:
         A query no single view answers is planned as an **intersection
         of two views** (see :mod:`repro.core.intersect`) when it can be.
@@ -230,15 +209,11 @@ class QueryEngine:
         store: ViewStore,
         solver: RewriteSolver | None = None,
         *,
-        answer_cache_size: int = 0,
         tractable_only: bool = True,
     ):
-        if answer_cache_size < 0:
-            raise ViewEngineError("answer_cache_size must be >= 0")
         self.store = store
         self.solver = solver or RewriteSolver()
         self.stats = EngineStats()
-        self.answer_cache_size = answer_cache_size
         self.tractable_only = tractable_only
         # Intersection-plan cache: (query key, view-set token) -> plan
         # or None.  Misses are cached too — the search is the expensive
@@ -253,14 +228,6 @@ class QueryEngine:
         # epoch — _decision_cache() drops the dict when the epoch moves.
         self._decisions: dict[tuple, RewriteResult] = {}
         self._decisions_epoch = memo_epoch()
-        # Cross-batch answer cache: (document name, query memo_key) ->
-        # (document digest at caching time, answer set, plan).  Same
-        # epoch guard as the decision cache (memo_key tokens die with
-        # the epoch); the digest is re-validated on every hit.
-        self._answers: "OrderedDict[tuple[str, int], tuple[str, frozenset[TNode], QueryPlan]]" = (
-            OrderedDict()
-        )
-        self._answers_epoch = memo_epoch()
 
     def _decision_cache(self) -> dict[tuple, RewriteResult]:
         """The decision cache, cleared if the interning epoch changed."""
@@ -277,62 +244,6 @@ class QueryEngine:
             self._intersections.clear()
             self._intersections_epoch = epoch
         return self._intersections
-
-    # ------------------------------------------------------------------
-    # Cross-batch answer cache
-    # ------------------------------------------------------------------
-    def _answer_cache(self) -> "OrderedDict[tuple[str, int], tuple[str, frozenset[TNode], QueryPlan]]":
-        """The answer cache, cleared if the interning epoch changed."""
-        epoch = memo_epoch()
-        if epoch != self._answers_epoch:
-            self._answers.clear()
-            self._answers_epoch = epoch
-        return self._answers
-
-    def _cached_answer(
-        self, query: Pattern, document: str
-    ) -> tuple[set[TNode], QueryPlan] | None:
-        """A validated cache hit, or None.
-
-        The entry's digest token must equal the store's *current* digest
-        for the document — the validity token that makes the cache safe
-        across :meth:`ViewStore.refresh`.  Hits return a **fresh**
-        mutable set per call: the cached entry is a frozen copy, so a
-        caller mutating one returned answer can never corrupt what later
-        hits see.
-        """
-        if self.answer_cache_size == 0:
-            return None
-        cache = self._answer_cache()
-        key = (document, query.memo_key())
-        entry = cache.get(key)
-        if entry is None:
-            return None
-        token, answer, plan = entry
-        if token != self.store.document_digest(document):
-            del cache[key]
-            return None
-        cache.move_to_end(key)
-        self.stats.answer_cache_hits += 1
-        return set(answer), plan
-
-    def _remember_answer(
-        self, query: Pattern, document: str, answer: set[TNode], plan: QueryPlan
-    ) -> None:
-        if self.answer_cache_size == 0:
-            return
-        cache = self._answer_cache()
-        key = (document, query.memo_key())
-        # Store a defensive frozen copy: the caller owns (and may
-        # mutate) the set it was handed, the cache owns this one.
-        cache[key] = (
-            self.store.document_digest(document),
-            frozenset(answer),
-            plan,
-        )
-        cache.move_to_end(key)
-        while len(cache) > self.answer_cache_size:
-            cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Planning
@@ -539,10 +450,11 @@ class QueryEngine:
         return self.store.nodes_at(document, ids or ())
 
     def _execute(
-        self, query: Pattern, plan: QueryPlan, document: str
+        self, query: Pattern, plan: QueryPlan, kind: str, document: str
     ) -> set[TNode]:
-        """Run one plan through the entry point for its width."""
-        with span("engine.execute", kind=plan.kind):
+        """Run one plan (``kind`` is its kind) through its width's entry
+        point."""
+        with span("engine.execute", kind=kind):
             if not plan.parts:
                 return self.answer_direct(query, document)
             if len(plan.parts) == 1:
@@ -554,15 +466,13 @@ class QueryEngine:
     def answer(self, query: Pattern, document: str) -> set[TNode]:
         """Answer using the planner's choice (view if possible).
 
-        A batch of one (:meth:`answer_many`): with an answer cache
-        enabled, a repeated query skips planning *and* execution
-        entirely, and every hit returns a fresh set the caller owns
-        outright.
+        A batch of one (:meth:`answer_many`): planned and executed on
+        every call; the caller owns the returned set.
         """
         return self.answer_many([query], document).answers[0]
 
     # ------------------------------------------------------------------
-    # Batched / async serving
+    # Batched serving
     # ------------------------------------------------------------------
     def answer_many(
         self, queries: Sequence[Pattern], document: str
@@ -571,51 +481,39 @@ class QueryEngine:
 
         Each *distinct* query (up to isomorphism, via ``memo_key``) is
         planned and executed exactly once; duplicates receive the same
-        answer set without touching the planner, the decision cache or
-        the store.  All executions share the store's cached per-document
-        :class:`~repro.core.embedding.TreeIndex`.  With an answer cache
-        enabled (``answer_cache_size > 0``) the fold extends *across*
-        batches: a distinct query seen in an earlier batch is served
-        from the cache — digest-validated — without planning or
-        execution.  Within one batch, duplicates share the same answer
-        set object — copy before mutating; cross-batch cache hits hand
-        each batch a fresh copy.
-
-        Returns a :class:`BatchAnswer` with per-input answers/plans and
-        the per-batch :class:`EngineStats` delta.
+        answer set object — copy before mutating — without touching the
+        planner, the decision cache or the store.  All executions share
+        the store's cached per-document
+        :class:`~repro.core.embedding.TreeIndex`.  Callers that want
+        per-batch counters snapshot :attr:`stats` around the call.
         """
-        before = self.stats.snapshot()
         t0 = time.perf_counter()
-        answers: dict[int, set[TNode]] = {}
-        plans: dict[int, QueryPlan] = {}
-        result = BatchAnswer()
+        distinct: dict[int, tuple[set[TNode], QueryPlan]] = {}
+        answers: list[set[TNode]] = []
+        plans: list[QueryPlan] = []
         for query in queries:
             key = query.memo_key()
-            if key not in answers:
+            done = distinct.get(key)
+            if done is None:
                 # One span per *distinct* query — duplicates fold for
                 # tracing exactly as they do for execution.
                 with span("engine.answer") as scope:
-                    cached = self._cached_answer(query, document)
-                    if cached is not None:
-                        answers[key], plans[key] = cached
-                        scope.set(cache="hit", kind=plans[key].kind)
-                    else:
-                        plan = self.plan(query, document)
-                        answer = self._execute(query, plan, document)
-                        self._remember_answer(
-                            query, document, answer, plan
-                        )
-                        answers[key] = answer
-                        plans[key] = plan
-                        scope.set(cache="miss", kind=plan.kind)
-            result.answers.append(answers[key])
-            result.plans.append(plans[key])
-        result.elapsed_seconds = time.perf_counter() - t0
-        result.distinct_queries = len(answers)
-        result.folded_queries = len(result.answers) - len(answers)
-        after = self.stats.snapshot()
-        result.stats = {key: after[key] - before[key] for key in after}
-        return result
+                    plan = self.plan(query, document)
+                    kind = plan.kind
+                    scope.set(kind=kind)
+                    done = distinct[key] = (
+                        self._execute(query, plan, kind, document),
+                        plan,
+                    )
+            answers.append(done[0])
+            plans.append(done[1])
+        return BatchAnswer(
+            answers,
+            plans,
+            distinct_queries=len(distinct),
+            folded_queries=len(answers) - len(distinct),
+            elapsed_seconds=time.perf_counter() - t0,
+        )
 
     # ------------------------------------------------------------------
     # Verification helper (Prop 2.4 end-to-end)

@@ -371,7 +371,6 @@ class CatalogReplayConfig:
     max_views: int = 4
     db_path: str | Path | None = None
     batch_size: int = 16
-    answer_cache_size: int = 512
     verify: bool = False
 
     def __post_init__(self) -> None:
@@ -462,8 +461,7 @@ class CatalogReplayReport:
             lines.append(
                 f"  {doc}: {section['view_plans']} view / "
                 f"{section.get('intersection_plans', 0)} intersection / "
-                f"{section['direct_plans']} direct plans, "
-                f"{section['answer_cache_hits']} answer-cache hits"
+                f"{section['direct_plans']} direct plans"
             )
         if self.verified_mismatches:
             lines.append(
@@ -501,10 +499,7 @@ def replay_catalog(
     base = 0 if seed is None else int(seed)
 
     report = CatalogReplayReport()
-    catalog = Catalog(
-        db_path=config.db_path,
-        answer_cache_size=config.answer_cache_size,
-    )
+    catalog = Catalog(db_path=config.db_path)
     try:
         samples: dict[str, StreamSample] = {}
         for index in range(config.documents):
@@ -588,7 +583,6 @@ def replay_catalog(
                 "distinct_queries": len(distinct[doc_id]),
                 "views": list(catalog.entry(doc_id).views),
                 "engine": engine,
-                "answer_cache_hits": engine["answer_cache_hits"],
             }
             report.queries += tally.queries
         report.backend = catalog.backend_stats()

@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.faults import FaultAction, ScriptedFaultPolicy, VirtualClock
 from repro.patterns.parse import parse_pattern
+from repro.patterns.serialize import to_xpath
 from repro.workloads.replay import CatalogReplayConfig, replay_catalog
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
@@ -226,6 +227,59 @@ class TestSqlitePrune:
         finally:
             catalog.close()
 
+    def test_prune_after_refresh_keeps_current_rows(self, db_path):
+        """Regression: prune() took the digest from registration.
+
+        After a refresh that changed the document's shape it treated the
+        current materialization rows as orphans and deleted them, so a
+        restart re-evaluated every view instead of loading it.
+        """
+        tree = build_tree({"a": [{"b": ["c"]}, "b"]})
+        views = [parse_pattern("a/b"), parse_pattern("a//c")]
+        with Catalog(db_path=db_path) as catalog:
+            catalog.register("doc", tree)
+            catalog.define_views("doc", views)
+            tree.root.new_child("b")
+            catalog.entry("doc").store.refresh("doc")
+            assert catalog.prune(ttl_seconds=0.0) == 0
+        with Catalog(db_path=db_path) as catalog:
+            catalog.register("doc", tree)
+            catalog.define_views("doc", views)
+            stats = catalog.backend_stats()
+            assert stats["hits"] == len(views)
+            assert stats["saves"] == 0
+
+    def test_digest_follows_refresh(self, db_path):
+        """Regression: the catalog's digest went stale after a refresh.
+
+        ``document_digest``, ``counters()`` and the key ``advise``
+        persists its selection under all read the store's current
+        digest, so a restart over the edited document warm-starts.
+        """
+        docs, streams = small_fleet(count=1)
+        tree = docs["doc-0"]
+        with Catalog(db_path=db_path) as catalog:
+            catalog.register("doc-0", tree)
+            registered = catalog.document_digest("doc-0")
+            tree.root.new_child("b")
+            store = catalog.entry("doc-0").store
+            store.refresh("doc-0")
+            current = store.document_digest("doc-0")
+            assert current != registered
+            assert catalog.document_digest("doc-0") == current
+            assert catalog.counters()["doc-0"]["digest"] == current
+            catalog.advise(
+                "doc-0",
+                streams["doc-0"].templates,
+                weights=streams["doc-0"].template_weights(),
+                max_views=3,
+            )
+        with Catalog(db_path=db_path) as catalog:
+            (advice,) = advise_fleet(
+                catalog, {"doc-0": tree}, streams
+            ).values()
+            assert advice.warm
+
     def test_catalog_prune_without_backend_support_is_noop(self):
         docs, streams = small_fleet(count=1)
         catalog = Catalog()  # MemoryBackend: no prune method
@@ -304,7 +358,7 @@ class TestCatalog:
             query = parse_pattern("a/b")
             for call in (
                 lambda: catalog.answer("nope", query),
-                lambda: catalog.answer_many("nope", [query]),
+                lambda: catalog.answer_many("nope", ["a/b"]),
                 lambda: catalog.advise("nope", [query]),
                 lambda: catalog.route([("known", query), ("nope", query)]),
                 lambda: catalog.entry("nope"),
@@ -382,13 +436,17 @@ class TestCatalog:
         docs, streams = small_fleet(count=1)
         with Catalog() as catalog:
             advise_fleet(catalog, docs, streams)
-            queries = streams["doc-0"].queries[:10]
-            first = catalog.answer_many("doc-0", queries)
-            second = catalog.answer_many("doc-0", queries)
-            engine = catalog.entry("doc-0").engine
-            assert engine.stats.answer_cache_hits >= second.distinct_queries
-            for a, b in zip(first.answers, second.answers):
-                assert a == b
+            xpaths = [to_xpath(q) for q in streams["doc-0"].queries[:10]]
+            first = catalog.answer_many("doc-0", xpaths)
+            executed = catalog.entry("doc-0").engine.stats.snapshot()
+            second = catalog.answer_many("doc-0", xpaths)
+            # Every read of the second batch is a hit: nothing is
+            # planned or executed again.
+            assert catalog.entry("doc-0").answer_cache_hits == len(xpaths)
+            assert catalog.entry("doc-0").engine.stats.snapshot() == executed
+            assert second.answers == first.answers
+            assert second.kinds == first.kinds
+            assert second.folded_queries == 0  # hits are not folds
 
     def test_counters_identical_cold_vs_warm(self, db_path):
         """The same call sequence yields bit-identical catalog counters."""

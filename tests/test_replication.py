@@ -79,7 +79,7 @@ class TestBootstrap:
                 assert replica.backend.stats.saves == 0
                 assert replica.backend.stats.selection_saves == 0
             for doc_id, pool in sorted(xpaths.items()):
-                ids, _ = rs.execute(doc_id, pool)
+                ids = rs.execute(doc_id, pool).answers
                 assert ids == direct_answers(spec, doc_id, pool)
             assert rs.stats.replica_answers == DOCUMENTS * QUERY_POOL
 
@@ -110,7 +110,7 @@ class TestShipping:
                 for replica in rs.replicas()
             )
             assert rs.stats.records_shipped > 0
-            ids, _ = rs.execute("doc-0", xpaths["doc-0"])
+            ids = rs.execute("doc-0", xpaths["doc-0"]).answers
             assert ids == direct_answers(spec, "doc-0", xpaths["doc-0"])
 
     def test_sync_without_new_writes_ships_nothing(self, fleet, tmp_path):
@@ -150,7 +150,7 @@ class TestShipping:
                 rs.lag_records(replica.index) == 0
                 for replica in rs.replicas()
             )
-            ids, _ = rs.execute("doc-0", xpaths["doc-0"])
+            ids = rs.execute("doc-0", xpaths["doc-0"]).answers
             assert ids == direct_answers(spec, "doc-0", xpaths["doc-0"])
 
 
@@ -160,7 +160,7 @@ class TestLagFencing:
         with make_set(spec, tmp_path, max_lag_records=0) as rs:
             rs.writer.define_views("doc-0", [parse_pattern("a//b")])
             assert rs.lag_records(0) > 0
-            ids, _ = rs.execute("doc-0", xpaths["doc-0"])
+            ids = rs.execute("doc-0", xpaths["doc-0"]).answers
             assert ids == direct_answers(spec, "doc-0", xpaths["doc-0"])
             # Both replicas fenced; nobody was evicted for being stale.
             assert rs.stats.lag_fenced == 2
@@ -202,7 +202,7 @@ class TestFailureLadder:
             replica={("serve", 0): FaultAction("crash")}
         )
         with make_set(spec, tmp_path, fault_policy=policy) as rs:
-            ids, _ = rs.execute("doc-0", xpaths["doc-0"])
+            ids = rs.execute("doc-0", xpaths["doc-0"]).answers
             assert ids == direct_answers(spec, "doc-0", xpaths["doc-0"])
             assert rs.stats.replica_crashes == 1
             assert rs.stats.evictions == 1
@@ -222,7 +222,7 @@ class TestFailureLadder:
             }
         )
         with make_set(spec, tmp_path, fault_policy=policy) as rs:
-            ids, _ = rs.execute("doc-0", xpaths["doc-0"])
+            ids = rs.execute("doc-0", xpaths["doc-0"]).answers
             assert rs.healthy_count() == 0
             assert rs.stats.writer_fallbacks == 1
             assert rs.stats.writer_answers == QUERY_POOL

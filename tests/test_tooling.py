@@ -381,3 +381,55 @@ class TestPerfbenchTracer:
             tracer.uninstall()
         for (cls, name), original in originals.items():
             assert cls.__dict__[name] is original
+
+    def test_catalog_layer_sees_every_cached_read(self):
+        """What the tracer reads from ``Catalog.answer_many`` on hits.
+
+        Its hook takes the document id and the XPath count by position
+        and the result's ``answers`` and ``folded_queries``; a serving
+        change that moved the cache ahead of the step would leave the
+        ``catalog`` layer reading 0 on a warm stack.
+        """
+        import time
+
+        from perfbench.tracing import Sink, Tracer
+
+        from repro.catalog import CatalogServer, CatalogSpec, DocumentSpec
+        from repro.patterns.parse import parse_pattern
+        from repro.xmltree.tree import build_tree
+
+        spec = CatalogSpec(
+            documents=tuple(
+                DocumentSpec.from_tree(
+                    doc_id,
+                    build_tree({"a": [{"b": ["c"]}, "b", "d"]}),
+                    views=[parse_pattern("a/b")],
+                )
+                for doc_id in ("doc-0", "doc-1")
+            )
+        )
+        requests = [
+            (doc_id, xpath)
+            for xpath in ("a/b", "a/b/c", "a/*", "a/b")
+            for doc_id in ("doc-0", "doc-1")
+        ]
+        with CatalogServer(spec, workers=0) as server:
+            cold = server.serve_requests(requests).answer_ids
+            tracer = Tracer().install()
+            sink = tracer.sink = Sink("inline")
+            try:
+                for doc_id, _ in requests:
+                    sink.due(doc_id, time.perf_counter())
+                warm = server.serve_requests(requests).answer_ids
+            finally:
+                tracer.sink = None
+                tracer.uninstall()
+            hits = sum(
+                doc["engine"]["answer_cache_hits"]
+                for doc in server.counters().values()
+            )
+        assert warm == cold
+        assert hits == len(requests)
+        assert sink.calls["catalog"] == len({doc for doc, _ in requests})
+        assert sink.batch_queries == len(requests)
+        assert len(sink.waits_ms) == len(requests)
