@@ -12,12 +12,12 @@ client coroutines and the serving machinery.  The pieces:
   :class:`~repro.errors.AdmissionRejected` immediately (shed — the
   client backs off).  Nothing is ever silently dropped.
 * **Per-document fairness** — admitted requests land in per-document
-  subqueues; the drain loop visits documents round-robin, dispatching
-  at most one ``batch_size`` batch per visit, so a hot document's
-  backlog cannot starve every other document's traffic.
+  subqueues; the drain, an event-loop callback armed by admission,
+  visits documents round-robin, at most one ``batch_size`` batch per
+  visit, so a hot document's backlog cannot starve the others.
 * **Deadlines and shedding** — each request may carry a deadline
   (absolute, against the injected ``clock``).  A request whose deadline
-  has passed when the drain loop reaches it is *shed*: its future gets
+  has passed when a drain visit reaches it is *shed*: its future gets
   :class:`~repro.errors.RequestTimeout` and no serving work runs on it.
   Clocks are injectable (:class:`~repro.faults.VirtualClock`), so
   deadline behavior tests deterministically — no sleeps.
@@ -30,9 +30,10 @@ client coroutines and the serving machinery.  The pieces:
   degrade (inline mode, with no worker to degrade from, fails the batch
   typed instead).  Every rung is counted (:class:`ServeStats`), and the
   fault-injection seam (:mod:`repro.faults`) drives each rung
-  deterministically in tests.  Pool results are read on the event
-  loop's own thread: :class:`~repro.shardpool.ShardPool` watches each
-  shard's pipe with ``loop.add_reader``.
+  deterministically in tests.  Only a pool batch waits, in a task of
+  its own; any other batch is answered inside its visit.  Pool results
+  are read on the event loop's own thread, which watches each shard's
+  pipe (:class:`~repro.shardpool.ShardPool`, ``loop.add_reader``).
 * **Graceful drain** — :meth:`AsyncFrontEnd.close` stops admission,
   serves (or sheds, per deadline) everything already queued, and
   resolves every outstanding future before returning.  No future is
@@ -50,8 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, deque
+from concurrent.futures import Future
+from dataclasses import dataclass, field, fields
 from typing import Callable, TYPE_CHECKING
 
 from ..errors import (
@@ -77,11 +79,6 @@ __all__ = ["AsyncFrontEnd", "ServeStats"]
 #: Overflow policies: await capacity, or reject at the door.
 OVERFLOW_POLICIES = ("wait", "reject")
 
-#: Pool outcomes the failure ladder treats as a dead shard: a crash
-#: (the worker died, or an injected one) or a wait past
-#: ``result_timeout``.
-_SHARD_DEATHS = (ShardCrashError, asyncio.TimeoutError)
-
 
 @dataclass
 class ServeStats:
@@ -91,7 +88,7 @@ class ServeStats:
     clock, every field is bit-for-bit reproducible for a fixed call
     sequence — the regression contract the fault-injection suite leans
     on.  ``dispatch_log`` records ``(doc_id, dispatched, shed)`` per
-    drain-loop visit, so fairness (round-robin visit order) is
+    drain visit, so fairness (round-robin visit order) is
     assertable, not just hoped for.  The log is bounded: only the most
     recent ``dispatch_log_cap`` visits are kept (older entries are
     dropped from the front and counted in ``dispatch_log_evictions``),
@@ -108,34 +105,28 @@ class ServeStats:
     shard_crashes: int = 0
     inline_degrades: int = 0
     max_queue_depth: int = 0
-    dispatch_log: list[tuple[str, int, int]] = field(default_factory=list)
+    dispatch_log: deque[tuple[str, int, int]] = field(init=False)
     dispatch_log_cap: int = 1024
     dispatch_log_evictions: int = 0
 
+    def __post_init__(self) -> None:
+        self.dispatch_log = deque(maxlen=self.dispatch_log_cap)
+
     def note_dispatch(self, doc_id: str, dispatched: int, shed: int) -> None:
-        """Append one drain-loop visit, evicting from the front past
-        ``dispatch_log_cap`` (evictions are counted, never silent)."""
+        """Append one drain visit; past ``dispatch_log_cap`` the oldest
+        entry drops out (evictions are counted, never silent)."""
+        if len(self.dispatch_log) == self.dispatch_log_cap:
+            self.dispatch_log_evictions += 1
         self.dispatch_log.append((doc_id, dispatched, shed))
-        overflow = len(self.dispatch_log) - self.dispatch_log_cap
-        if overflow > 0:
-            del self.dispatch_log[:overflow]
-            self.dispatch_log_evictions += overflow
 
     def snapshot(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "served": self.served,
-            "shed_deadline": self.shed_deadline,
-            "failed": self.failed,
-            "batches": self.batches,
-            "retries": self.retries,
-            "shard_crashes": self.shard_crashes,
-            "inline_degrades": self.inline_degrades,
-            "max_queue_depth": self.max_queue_depth,
-            "dispatch_log": [list(entry) for entry in self.dispatch_log],
-            "dispatch_log_evictions": self.dispatch_log_evictions,
+        data = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "dispatch_log_cap"
         }
+        data["dispatch_log"] = [list(entry) for entry in self.dispatch_log]
+        return data
 
 
 @dataclass
@@ -168,14 +159,42 @@ def _finish_request_span(open_span: OpenSpan, future: asyncio.Future) -> None:
         open_span.close(outcome="failed", error=type(exc).__name__)
 
 
+def _awaitable(future: Future) -> asyncio.Future:
+    """A pool future as an asyncio future, set by its done-callback.
+
+    The pool resolves futures on the loop's own thread, so no result
+    hops threads.  The guards of asyncio's own wrapping stay: a
+    cancelled wait cancels a task not yet sent (nothing else cancels a
+    pool future), and a closed loop or a finished wait is left alone.
+    """
+    loop = asyncio.get_running_loop()
+    awaited = loop.create_future()
+
+    def resolve(done: Future) -> None:
+        if awaited.done() or loop.is_closed():
+            return
+        if done.exception() is not None:
+            awaited.set_exception(done.exception())
+        else:
+            awaited.set_result(done.result())
+
+    def cancel(waited: asyncio.Future) -> None:
+        if waited.cancelled():
+            future.cancel()
+
+    awaited.add_done_callback(cancel)
+    future.add_done_callback(resolve)
+    return awaited
+
+
 class AsyncFrontEnd:
     """Async admission + fairness + deadlines over a catalog server.
 
     Built by :meth:`CatalogServer.serve
     <repro.catalog.server.CatalogServer.serve>`; use as an async
-    context manager (entering starts the drain loop, exiting drains and
-    closes).  Not thread-safe — one event loop owns it, like any
-    asyncio object.
+    context manager (entering binds it to the running event loop,
+    exiting drains and closes).  Not thread-safe — one event loop owns
+    it, like any asyncio object.
     """
 
     def __init__(
@@ -209,33 +228,29 @@ class AsyncFrontEnd:
         #: Pool restarts this front end made, per shard.
         self._restarts: Counter[int] = Counter()
 
-        self._queues: dict[str, deque[_Request]] = {}
+        self._queues: defaultdict[str, deque[_Request]] = defaultdict(deque)
         self._rr: deque[str] = deque()  # round-robin order, nonempty docs
         self._pending = 0
-        self._inflight: set[asyncio.Task] = set()
-        self._task: asyncio.Task | None = None
-        self._wakeup: asyncio.Event | None = None
-        self._space: asyncio.Event | None = None
-        self._idle: asyncio.Event | None = None
-        self._draining = False
+        #: Pool batches waiting on their workers: one task each, and the
+        #: requests it settles.
+        self._inflight: dict[asyncio.Task, list[_Request]] = {}
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._space = asyncio.Event()
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _ensure_running(self) -> None:
+    def _ensure_open(self) -> None:
         if self._closed:
             raise ServingError("front end is closed")
-        if self._task is None:
-            self._wakeup = asyncio.Event()
-            self._space = asyncio.Event()
-            self._space.set()
-            self._idle = asyncio.Event()
-            self._idle.set()
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        if self._loop is None:
+            self._loop = asyncio.get_running_loop()
 
     async def __aenter__(self) -> "AsyncFrontEnd":
-        self._ensure_running()
+        self._ensure_open()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
@@ -251,14 +266,7 @@ class AsyncFrontEnd:
         if self._closed:
             return
         self._closed = True
-        if self._task is not None:
-            self._draining = True
-            assert self._wakeup is not None
-            self._wakeup.set()
-            await self._task
-            if self._inflight:
-                await asyncio.gather(*tuple(self._inflight))
-            self._task = None
+        await self._idle.wait()
         registry = current_registry()
         if registry is not None:
             # Lifetime stats feed the registry exactly once, at drain —
@@ -272,8 +280,7 @@ class AsyncFrontEnd:
 
     async def drain(self) -> None:
         """Wait until nothing is queued or in flight (without closing)."""
-        if self._idle is not None:
-            await self._idle.wait()
+        await self._idle.wait()
 
     # ------------------------------------------------------------------
     # Admission
@@ -297,7 +304,7 @@ class AsyncFrontEnd:
         A request already past its deadline is shed at the door: the
         returned future carries :class:`~repro.errors.RequestTimeout`.
         """
-        self._ensure_running()
+        self._ensure_open()
         if timeout is not None and deadline is not None:
             raise ServingError("pass timeout or deadline, not both")
         self._server._validate(doc_id)
@@ -307,7 +314,6 @@ class AsyncFrontEnd:
         if deadline is None and timeout is not None:
             deadline = self._clock() + timeout
 
-        assert self._space is not None and self._wakeup is not None
         while self._pending >= self._max_pending:
             if self._closed:
                 raise ServingError("front end is closed")
@@ -322,7 +328,7 @@ class AsyncFrontEnd:
         if self._closed:
             raise ServingError("front end is closed")
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future: asyncio.Future = self._loop.create_future()
         request = _Request(doc_id, xpath, future, deadline)
         if deadline is not None and self._clock() >= deadline:
             # Dead on arrival: shed without consuming queue capacity.
@@ -334,9 +340,7 @@ class AsyncFrontEnd:
                 )
             )
             return future
-        queue = self._queues.get(doc_id)
-        if queue is None:
-            queue = self._queues[doc_id] = deque()
+        queue = self._queues[doc_id]
         if not queue:
             self._rr.append(doc_id)
         queue.append(request)
@@ -352,12 +356,12 @@ class AsyncFrontEnd:
             future.add_done_callback(
                 lambda fut, s=request.span: _finish_request_span(s, fut)
             )
-        self.stats.max_queue_depth = max(
-            self.stats.max_queue_depth, self._pending
-        )
-        assert self._idle is not None
+        if self._pending > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = self._pending
         self._idle.clear()
-        self._wakeup.set()
+        if self._pending == 1:
+            # A visit is armed exactly while requests are queued.
+            self._loop.call_soon(self._visit)
         return future
 
     async def request(
@@ -387,176 +391,172 @@ class AsyncFrontEnd:
         return data
 
     # ------------------------------------------------------------------
-    # Drain loop
+    # Drain: one loop callback per visit
     # ------------------------------------------------------------------
-    def _next_batch(self) -> tuple[str, list[_Request]] | None:
+    def _next_batch(self) -> tuple[str, list[_Request]]:
         """Round-robin: up to ``batch_size`` requests of the next doc."""
-        if not self._rr:
-            return None
         doc_id = self._rr.popleft()
         queue = self._queues[doc_id]
-        batch = [
-            queue.popleft()
-            for _ in range(min(self._batch_size, len(queue)))
-        ]
+        count = min(self._batch_size, len(queue))
+        batch = [queue.popleft() for _ in range(count)]
         if queue:
             self._rr.append(doc_id)  # back of the line: fairness
         self._pending -= len(batch)
-        assert self._space is not None
         self._space.set()
         return doc_id, batch
 
-    def _maybe_idle(self) -> None:
-        if self._pending == 0 and not self._inflight:
-            assert self._idle is not None
-            self._idle.set()
+    def _visit(self) -> None:
+        """One drain visit: the next document's batch, shed or served.
 
-    async def _run(self) -> None:
-        assert self._wakeup is not None
-        while True:
-            if self._pending == 0:
-                self._maybe_idle()
-                if self._draining:
-                    return
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
-            pulled = self._next_batch()
-            if pulled is None:
-                continue
-            doc_id, batch = pulled
-            now = self._clock()
-            live: list[_Request] = []
-            shed = 0
-            for req in batch:
-                if req.deadline is not None and now >= req.deadline:
-                    shed += 1
-                    self.stats.shed_deadline += 1
-                    if not req.future.done():
-                        req.future.set_exception(
-                            RequestTimeout(
-                                f"deadline passed while queued for "
-                                f"{req.xpath!r} on {req.doc_id!r}"
-                            )
+        A batch that need not wait on a worker is answered before the
+        visit returns, and an exception fails its futures alone.  The
+        visit re-arms while requests remain queued: producers run
+        between two visits.
+        """
+        doc_id, batch = self._next_batch()
+        now = self._clock()
+        live: list[_Request] = []
+        for req in batch:
+            if req.deadline is not None and now >= req.deadline:
+                self.stats.shed_deadline += 1
+                if not req.future.done():
+                    req.future.set_exception(
+                        RequestTimeout(
+                            f"deadline passed while queued for "
+                            f"{req.xpath!r} on {req.doc_id!r}"
                         )
-                else:
-                    live.append(req)
-            self.stats.batches += 1
-            self.stats.note_dispatch(doc_id, len(live), shed)
-            if live:
-                task = asyncio.get_running_loop().create_task(
-                    self._dispatch(doc_id, live)
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._on_dispatch_done)
-            # Yield once per visit so producers (and dispatch tasks)
-            # interleave with the drain loop even when execution is
-            # fully synchronous inline work.
-            await asyncio.sleep(0)
-
-    def _on_dispatch_done(self, task: asyncio.Task) -> None:
-        self._inflight.discard(task)
-        self._maybe_idle()
-
-    # ------------------------------------------------------------------
-    # Dispatch: execute one per-document batch, failure ladder included
-    # ------------------------------------------------------------------
-    async def _dispatch(self, doc_id: str, requests: list[_Request]) -> None:
-        xpaths = [req.xpath for req in requests]
-        # Adopt the member requests' admission roots as the open
-        # parents: batch-level spans fan out into every member's trace.
-        with adopt([req.span for req in requests]):
-            with span(
-                "serve.batch", doc_id=doc_id, size=len(requests)
+                    )
+            else:
+                live.append(req)
+        self.stats.batches += 1
+        self.stats.note_dispatch(doc_id, len(live), len(batch) - len(live))
+        if live and self._replicas is None and self._server._pool is not None:
+            task = self._loop.create_task(self._dispatch_pooled(doc_id, live))
+            self._inflight[task] = live
+            task.add_done_callback(self._on_dispatch_done)
+        elif live:
+            # The batch adopts its members' admission roots as the open
+            # parents: its spans fan out into every member's trace.
+            with adopt([req.span for req in live]), span(
+                "serve.batch", doc_id=doc_id, size=len(live)
             ) as scope:
                 try:
-                    served = await self._execute(doc_id, xpaths, scope)
-                except asyncio.CancelledError:
-                    for req in requests:
-                        if not req.future.done():
-                            req.future.cancel()
-                    raise
+                    outcome = self._serve_in_process(
+                        doc_id, [req.xpath for req in live], scope
+                    )
                 except Exception as exc:
-                    scope.set(outcome="failed", error=type(exc).__name__)
-                    self.stats.failed += len(requests)
-                    for req in requests:
-                        if not req.future.done():
-                            req.future.set_exception(exc)
-                    return
-                scope.set(outcome="served")
-                self.stats.served += len(requests)
-                for req, answer in zip(requests, served.answers):
-                    if not req.future.done():
-                        req.future.set_result(answer)
+                    outcome = exc
+                self._settle(live, scope, outcome)
+        if self._pending:
+            self._loop.call_soon(self._visit)
+        elif not self._inflight:
+            self._idle.set()
 
-    async def _execute(
+    def _on_dispatch_done(self, task: asyncio.Task) -> None:
+        for req in self._inflight.pop(task):
+            req.future.cancel()  # a no-op for a settled future
+        if self._pending == 0 and not self._inflight:
+            self._idle.set()
+
+    # ------------------------------------------------------------------
+    # Dispatch: one per-document batch, failure ladder included
+    # ------------------------------------------------------------------
+    async def _dispatch_pooled(
+        self, doc_id: str, requests: list[_Request]
+    ) -> None:
+        with adopt([req.span for req in requests]), span(
+            "serve.batch", doc_id=doc_id, size=len(requests)
+        ) as scope:
+            try:
+                outcome = await self._serve_pooled(
+                    doc_id, [req.xpath for req in requests], scope
+                )
+            except Exception as exc:
+                outcome = exc
+            self._settle(requests, scope, outcome)
+
+    def _settle(self, requests: list[_Request], scope, outcome) -> None:
+        """Resolve a batch's futures with its answers, or fail them."""
+        if isinstance(outcome, Exception):
+            scope.set(outcome="failed", error=type(outcome).__name__)
+            self.stats.failed += len(requests)
+            for req in requests:
+                if not req.future.done():
+                    req.future.set_exception(outcome)
+            return
+        scope.set(outcome="served")
+        self.stats.served += len(requests)
+        for req, answer in zip(requests, outcome.answers):
+            if not req.future.done():
+                req.future.set_result(answer)
+
+    def _count_death(self, attempt: int, scope) -> None:
+        self.stats.shard_crashes += 1
+        if not attempt:
+            self.stats.retries += 1
+            scope.set(retries=1)
+
+    def _serve_in_process(
         self, doc_id: str, xpaths: list[str], scope
     ) -> ServedBatch:
-        """One batch through the shard pool, with retry-once + degrade.
+        """The ladder's in-process step, for every batch needing no wait.
 
-        Ladder: attempt → (shard died) restart + retry once → (died
-        again) degrade to the server's in-process catalog, built from
-        the spec on the first degrade.  A batch whose shard was already
-        restarted since its attempt began retries without restarting
-        it again.  Each pool wait is bounded by the server's
-        ``result_timeout``; an expired wait counts as a shard death and
-        takes the same ladder.  Inline mode consults
-        the same fault policy and runs the same loop synchronously,
-        except that a second death is raised (there is no worker to
-        degrade *from*).
-
-        With a replica set attached, reads dispatch through its own
-        ladder instead (crash → evict → sibling → writer-inline; see
-        :meth:`ReplicaSet.execute
-        <repro.catalog.replication.ReplicaSet.execute>`) — the batch
-        still never fails for availability reasons, only injected
-        ``error`` actions propagate.
+        A replica set runs its own ladder (:meth:`ReplicaSet.execute
+        <repro.catalog.replication.ReplicaSet.execute>`); in pool mode
+        this is the degrade rung.  Inline, the fault policy is consulted
+        as for a pool submission, and a second crash is raised: there is
+        no worker to degrade *from*.
         """
         server = self._server
         if self._replicas is not None:
             scope.set(source="replica")
             return self._replicas.execute(doc_id, xpaths)
-        pool = server._pool
-        shard = server._shard_of[doc_id]
-        if pool is None:
-            scope.set(source="inline")
-            deaths = (ShardCrashError,)
-        else:
-            scope.set(source="pool", shard=shard)
-            deaths = _SHARD_DEATHS
-        restarts = self._restarts[shard]
+        if server._pool is not None:
+            self.stats.inline_degrades += 1
+            scope.set(source="degraded_inline")
+            return server._inline_catalog().answer_many(doc_id, xpaths)
+        scope.set(source="inline")
+        policy = server._fault_policy
         for attempt in (0, 1):
             try:
-                if pool is None:  # synchronous: nothing to await
-                    policy = server._fault_policy
-                    if policy is not None:
-                        raise_injected(
-                            policy.on_submit(shard),
-                            ShardCrashError,
-                            f"inline serve for {doc_id!r}",
-                        )
-                    return server._inline_catalog().answer_many(
-                        doc_id, xpaths
+                if policy is not None:
+                    raise_injected(
+                        policy.on_submit(server._shard_of[doc_id]),
+                        ShardCrashError,
+                        f"inline serve for {doc_id!r}",
                     )
-                if attempt and self._restarts[shard] == restarts:
-                    # Batches that failed together share one restart: a
-                    # second would kill the worker that runs the first
-                    # one's retry.
-                    pool.restart(shard)
-                    self._restarts[shard] += 1
+                return server._inline_catalog().answer_many(doc_id, xpaths)
+            except ShardCrashError:
+                self._count_death(attempt, scope)
+                if attempt:
+                    raise
+
+    async def _serve_pooled(
+        self, doc_id: str, xpaths: list[str], scope
+    ) -> ServedBatch:
+        """The pool's rungs: attempt, then restart and retry once.
+
+        A second death falls to :meth:`_serve_in_process`.  Each wait is
+        bounded by ``result_timeout``; an expired one counts as a death.
+        """
+        server = self._server
+        pool = server._pool
+        shard = server._shard_of[doc_id]
+        scope.set(source="pool", shard=shard)
+        restarts = self._restarts[shard]
+        for attempt in (0, 1):
+            if attempt and self._restarts[shard] == restarts:
+                # Batches that failed together share one restart: a
+                # second would kill the worker running the first's retry.
+                pool.restart(shard)
+                self._restarts[shard] += 1
+            try:
                 return await asyncio.wait_for(
-                    asyncio.wrap_future(
+                    _awaitable(
                         pool.submit(shard, _serve_in_worker, doc_id, xpaths)
                     ),
                     server.result_timeout,
                 )
-            except deaths:
-                self.stats.shard_crashes += 1
-                if not attempt:
-                    self.stats.retries += 1
-                    scope.set(retries=1)
-                elif pool is None:
-                    raise
-        self.stats.inline_degrades += 1
-        scope.set(source="degraded_inline")
-        return server._inline_catalog().answer_many(doc_id, xpaths)
+            except (ShardCrashError, asyncio.TimeoutError):
+                self._count_death(attempt, scope)
+        return self._serve_in_process(doc_id, xpaths, scope)

@@ -174,7 +174,7 @@ class ScriptedFaultPolicy(FaultPolicy):
 
     ``submit`` maps the 0-based *global* submission index (counted
     across all shards, in submission order — deterministic for the
-    serial drain loops that consult it) to an action; ``backend`` maps
+    serial drain visits that consult it) to an action; ``backend`` maps
     ``(op, per-op index)`` pairs; ``replica`` maps ``(op, per-op
     index)`` pairs for the replicated read tier (the index counts
     calls per op across all replicas, in dispatch order — the logged

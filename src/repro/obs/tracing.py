@@ -350,9 +350,9 @@ class _RootScope:
 class _AdoptScope:
     """Make the given already-open spans the current parents.
 
-    The async front end's dispatch path uses this: the batch task adopts
-    its member requests' root spans (opened at admission), so every
-    span recorded during the batch lands in each member's tree.
+    The async front end's dispatch path uses this: a dispatched batch
+    adopts its member requests' root spans (opened at admission), so
+    every span recorded during the batch lands in each member's tree.
     """
 
     __slots__ = ("_spans", "_token")

@@ -21,7 +21,13 @@ import time
 
 import pytest
 
-from repro.catalog import Catalog, CatalogServer, CatalogSpec, DocumentSpec
+from repro.catalog import (
+    Catalog,
+    CatalogServer,
+    CatalogSpec,
+    DocumentSpec,
+    ReplicaSet,
+)
 from repro.catalog.sqlite_backend import SqliteBackend
 from repro.errors import (
     CatalogError,
@@ -53,12 +59,11 @@ pytestmark = pytest.mark.faultinject
 BROAD = ("*//b", "*//a/*")
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    """A tiny two-document spec plus a per-document XPath probe pool."""
+def build_fleet(count):
+    """A tiny ``count``-document spec plus a per-document probe pool."""
     documents = []
     probes = {}
-    for index in range(2):
+    for index in range(count):
         doc_id = f"doc-{index}"
         tree = random_tree(110, seed=900 + index)
         sample = sample_stream(
@@ -73,6 +78,11 @@ def fleet():
             )
         )
     return CatalogSpec(documents=tuple(documents), max_views=2), probes
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return build_fleet(2)
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +562,40 @@ class TestPoolLadder:
         assert counters["inline_degrades"] == 0
         assert counters["served"] == 1
 
+    def test_cancelled_pool_batch_cancels_its_wait_and_requests(
+        self, fleet, monkeypatch
+    ):
+        """Cancelling a pool batch's task cancels the pool future it
+        waits on and its requests' futures, and the front end still
+        goes idle, so ``close()`` returns."""
+        spec, _ = fleet
+        policy = ScriptedFaultPolicy(submit={0: FaultAction("hang")})
+        submitted = []
+        submit = ShardPool.submit
+
+        def recording(pool, *args):
+            submitted.append(submit(pool, *args))
+            return submitted[-1]
+
+        monkeypatch.setattr(ShardPool, "submit", recording)
+
+        async def go(server):
+            front = server.serve()
+            future = await front.submit("doc-0", BROAD[0])
+            for _ in range(100):
+                if submitted:
+                    break
+                await asyncio.sleep(0)
+            (task,) = front._inflight
+            task.cancel()
+            await asyncio.wait_for(front.close(), 30)
+            return future
+
+        with CatalogServer(spec, workers=1, fault_policy=policy) as server:
+            future = asyncio.run(go(server))
+        assert future.cancelled()
+        assert [pooled.cancelled() for pooled in submitted] == [True]
+
     def test_result_timeout_validated(self, fleet):
         spec, _ = fleet
         with pytest.raises(CatalogError):
@@ -572,6 +616,52 @@ def kill(child) -> None:
     os.kill(child.pid, signal.SIGKILL)
     child.join(10)
     assert not child.is_alive()
+
+
+@pytest.fixture(scope="module")
+def burst():
+    """Every probe of a three-document fleet, with its direct answer."""
+    spec, probes = build_fleet(3)
+    requests = [
+        (doc_id, xpath)
+        for doc_id, pool in sorted(probes.items())
+        for xpath in pool
+    ]
+    return spec, requests, direct_request_answers(spec, requests)
+
+
+def serve_burst(server, requests, replica_set=None):
+    """Serve ``requests`` through a front end at ``batch_size=1``.
+
+    Returns the answers, the loop's tasks sampled in each request
+    future's done-callback, the test's own task, and the callbacks the
+    loop was handed through ``call_soon_threadsafe``.
+    """
+    samples, hops = [], []
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        original = loop.call_soon_threadsafe
+
+        def counted(callback, *args, **kwargs):
+            hops.append(callback)
+            return original(callback, *args, **kwargs)
+
+        loop.call_soon_threadsafe = counted
+        front = server.serve(batch_size=1, replica_set=replica_set)
+        async with front:
+            futures = []
+            for request in requests:
+                future = await front.submit(*request)
+                future.add_done_callback(
+                    lambda _f: samples.append(asyncio.all_tasks())
+                )
+                futures.append(future)
+            answers = await asyncio.gather(*futures)
+        return answers, asyncio.current_task()
+
+    answers, own = asyncio.run(go())
+    return answers, samples, own, hops
 
 
 @pytest.mark.multicore
@@ -672,3 +762,36 @@ class TestRealWorkers:
             answers, during = asyncio.run(go(server))
         assert answers == expected
         assert during == threads
+
+    def test_pooled_front_end_makes_no_thread_safe_hop(self, burst):
+        """Pool results reach their batch task on the loop's own thread,
+        so nothing is scheduled through ``call_soon_threadsafe`` (which
+        ``asyncio.wrap_future`` does once per result)."""
+        spec, requests, expected = burst
+        with CatalogServer(spec, workers=2) as server:
+            answers, _, _, hops = serve_burst(server, requests)
+        assert answers == expected
+        assert len(hops) == 0
+
+
+class TestSynchronousBatchesRunInTheirVisit:
+    """Inline and replica batches are answered inside the drain visit
+    that takes them: no drain task, no task per batch."""
+
+    def test_inline_front_end_runs_no_task(self, burst):
+        spec, requests, expected = burst
+        with CatalogServer(spec, workers=0) as server:
+            answers, samples, own, _ = serve_burst(server, requests)
+        assert answers == expected and any(answers)
+        others = [len(tasks - {own}) for tasks in samples]
+        assert others == [0] * len(requests)
+
+    def test_replica_front_end_runs_no_task(self, burst, tmp_path):
+        spec, requests, expected = burst
+        with ReplicaSet(spec, replicas=2, root=tmp_path / "set") as rs:
+            with CatalogServer(spec, workers=0) as server:
+                answers, samples, own, _ = serve_burst(server, requests, rs)
+            assert rs.stats.replica_answers == len(requests)
+        assert answers == expected and any(answers)
+        others = [len(tasks - {own}) for tasks in samples]
+        assert others == [0] * len(requests)

@@ -310,6 +310,29 @@ class TestFairness:
         assert visited[1] == cold
         assert visited.count(hot) == 3  # 6 requests / batch_size 2
 
+    def test_producers_interleave_with_a_backlog(self, fleet, server):
+        """A request admitted behind a backlog is served before the
+        backlog's end: each visit serves one batch, then yields."""
+        _, queries = fleet
+
+        async def go():
+            async with server.serve(batch_size=1) as front:
+                pool = queries["doc-0"]
+                backlog = [
+                    await front.submit("doc-0", pool[i % QUERY_POOL])
+                    for i in range(10)
+                ]
+                await backlog[0]
+                late = await front.submit("doc-1", queries["doc-1"][0])
+                await asyncio.gather(late, *backlog)
+                return front.counters()
+
+        counters = asyncio.run(go())
+        visited = [entry[0] for entry in counters["dispatch_log"]]
+        assert visited.count("doc-0") == 10
+        last_backlog = len(visited) - 1 - visited[::-1].index("doc-0")
+        assert visited.index("doc-1") < last_backlog
+
     def test_batch_size_bounds_each_visit(self, fleet, server):
         _, queries = fleet
 
@@ -379,6 +402,52 @@ class TestDrain:
 
         first, second = asyncio.run(go())
         assert [first, second] == direct_request_answers(spec, requests)
+
+    def test_failing_batch_does_not_strand_the_drain(
+        self, fleet, server, monkeypatch
+    ):
+        """A batch whose serving step raises fails its own futures; the
+        other document's requests are answered and close() returns."""
+        spec, queries = fleet
+        catalog = server._inline_catalog()
+        answer_many = catalog.answer_many
+
+        def failing(doc_id, xpaths):
+            if doc_id == "doc-0":
+                raise RuntimeError("scripted serving failure")
+            return answer_many(doc_id, xpaths)
+
+        monkeypatch.setattr(catalog, "answer_many", failing)
+        requests = [
+            (doc_id, pool[i])
+            for i in range(QUERY_POOL)
+            for doc_id, pool in sorted(queries.items())
+        ]
+
+        async def go():
+            front = server.serve(batch_size=2)
+            futures = [await front.submit(*request) for request in requests]
+            await asyncio.wait_for(front.close(), 30)
+            return futures, front.counters()
+
+        futures, counters = asyncio.run(go())
+        failed = [
+            future
+            for (doc_id, _), future in zip(requests, futures)
+            if doc_id == "doc-0"
+        ]
+        assert all(isinstance(f.exception(), RuntimeError) for f in failed)
+        survivors = [
+            (request, future.result())
+            for request, future in zip(requests, futures)
+            if request[0] != "doc-0"
+        ]
+        assert [answer for _, answer in survivors] == direct_request_answers(
+            spec, [request for request, _ in survivors]
+        )
+        assert any(answer for _, answer in survivors)
+        assert counters["failed"] == len(failed)
+        assert counters["served"] == len(survivors)
 
 
 class TestServeConfigValidation:

@@ -433,3 +433,75 @@ class TestPerfbenchTracer:
         assert sink.calls["catalog"] == len({doc for doc, _ in requests})
         assert sink.batch_queries == len(requests)
         assert len(sink.waits_ms) == len(requests)
+
+    def test_layers_reconcile_over_the_async_front_end(self, tmp_path):
+        """The tracer over :class:`AsyncFrontEnd`, as ``make trace-check``
+        drives it: one queue wait per request, one serving-layer call per
+        dispatched batch, and layer self times summing to the outermost
+        calls' time, for the inline catalog and for a replica set."""
+        import asyncio
+        import time
+
+        import pytest
+
+        from perfbench.tracing import Sink, Tracer
+
+        from repro.catalog import CatalogServer, CatalogSpec, DocumentSpec
+        from repro.catalog.replication import ReplicaSet
+        from repro.patterns.parse import parse_pattern
+        from repro.xmltree.tree import build_tree
+
+        from .oracle import direct_request_answers
+
+        spec = CatalogSpec(
+            documents=tuple(
+                DocumentSpec.from_tree(
+                    doc_id,
+                    build_tree({"a": [{"b": ["c"]}, "b", "d"]}),
+                    views=[parse_pattern("a/b")],
+                )
+                for doc_id in ("doc-0", "doc-1", "doc-2")
+            )
+        )
+        requests = [
+            (doc_id, xpath)
+            for xpath in ("a/b", "a/b/c", "a/*", "a/b", "a//c")
+            for doc_id in ("doc-0", "doc-1", "doc-2")
+        ]
+        expected = direct_request_answers(spec, requests)
+
+        async def drive(front, sink):
+            async with front:
+                futures = []
+                for doc_id, xpath in requests:
+                    futures.append(await front.submit(doc_id, xpath))
+                    sink.due(doc_id, time.perf_counter())
+                answers = await asyncio.gather(*futures)
+            return answers, front.counters()
+
+        def traced(server, mode, replica_set=None):
+            tracer = Tracer().install()
+            sink = tracer.sink = Sink(mode)
+            try:
+                front = server.serve(batch_size=2, replica_set=replica_set)
+                answers, counters = asyncio.run(drive(front, sink))
+            finally:
+                tracer.sink = None
+                tracer.uninstall()
+            assert answers == expected
+            return sink, counters
+
+        with CatalogServer(spec, workers=0) as server:
+            inline = traced(server, "inline")
+            with ReplicaSet(spec, replicas=2, root=tmp_path / "set") as rs:
+                replica = traced(server, "replica", rs)
+        for (sink, counters), layer in (
+            (inline, "catalog"),
+            (replica, "replication"),
+        ):
+            log = counters["dispatch_log"]
+            dispatched = sum(1 for _, live, _ in log if live)
+            assert dispatched == counters["batches"] > len(spec.documents)
+            assert len(sink.waits_ms) == len(requests)
+            assert sink.calls[layer] == dispatched
+            assert sum(sink.self_s.values()) == pytest.approx(sink.outer_s)
