@@ -3,11 +3,11 @@
 Three measurements, recorded to ``BENCH_catalog.json`` at the repo root
 so future PRs can diff against this PR's baseline:
 
-* **Warm-start speedup**: a fleet of documents is advised cold (a fresh
-  SQLite catalog database, containment caches cleared: the advisor runs
-  and its selections are persisted) and warm (a database populated
-  earlier: selections and materializations load; the advisor never
-  runs).  After one untimed warm-up round, cold and warm passes run in
+* **Warm-start speedup**: a fleet of documents is advised cold (a
+  catalog on a fresh snapshot log, containment caches cleared: the
+  advisor runs and its selections are persisted) and warm (a log
+  populated earlier: selections and materializations load; the advisor
+  never runs).  After one untimed warm-up round, cold and warm passes run in
   paired rounds of alternating order, and the record holds the median
   per-round speedup with its range.  Re-advising is the dominant
   warm-start cost, so the acceptance floor is **5×** on the advise
@@ -15,8 +15,8 @@ so future PRs can diff against this PR's baseline:
 
 * **Replay bit-identity**: the multi-document replay
   (:func:`repro.workloads.replay.replay_catalog`) must produce
-  bit-identical ``counters()`` for an in-memory run, a cold SQLite run
-  and a warm SQLite run of the same config+seed — persistence changes
+  bit-identical ``counters()`` for an in-memory run, a cold-log run
+  and a warm-log run of the same config+seed — persistence changes
   where selections and forests come from, never what gets served.
 
 * **Serving plan ratios**: one interleaved request stream over the
@@ -55,6 +55,7 @@ from repro.core.intersect import (
 )
 from repro.patterns.random import PatternConfig
 from repro.views.engine import QueryEngine
+from repro.views.persist import SnapshotBackend
 from repro.views.store import ViewStore
 from repro.workloads.replay import CatalogReplayConfig, replay_catalog
 from repro.workloads.streams import StreamConfig, sample_stream
@@ -136,19 +137,19 @@ def _fleet():
 
 
 def measure_warm_start() -> dict:
-    """Advise the fleet cold and warm in paired rounds of SQLite passes.
+    """Advise the fleet cold and warm in paired rounds on snapshot logs.
 
-    A cold pass advises into a fresh database with the containment
-    caches cleared; a warm pass loads from the database the warm-up
-    round populated.  Rounds alternate which pass runs first, so drift
-    on the host hits both sides of a round's ratio alike.
+    A cold pass advises onto a fresh log with the containment caches
+    cleared; a warm pass loads from the log the warm-up round
+    populated.  Rounds alternate which pass runs first, so drift on the
+    host hits both sides of a round's ratio alike.
     """
     docs, advisor, _ = _fleet()
 
-    def advise_pass(db_path: str, cold: bool) -> tuple[float, dict, dict]:
+    def advise_pass(path: Path, cold: bool) -> tuple[float, dict, dict]:
         if cold:
             clear_cache()
-        with Catalog(db_path=db_path) as catalog:
+        with Catalog(backend=SnapshotBackend(path)) as catalog:
             for doc_id, tree in docs.items():
                 catalog.register(doc_id, tree)
             t0 = time.perf_counter()
@@ -166,15 +167,17 @@ def measure_warm_start() -> dict:
             return elapsed, catalog.backend_stats(), views
 
     with tempfile.TemporaryDirectory() as tmp:
-        warm_db = str(Path(tmp) / "warm.db")
-        advise_pass(warm_db, cold=True)  # warm-up round, untimed
-        advise_pass(warm_db, cold=False)
+        warm_log = Path(tmp) / "warm.log"
+        advise_pass(warm_log, cold=True)  # warm-up round, untimed
+        advise_pass(warm_log, cold=False)
         cold_times, warm_times, speedups = [], [], []
         for index in range(WARM_START_ROUNDS):
-            cold_db = str(Path(tmp) / f"cold-{index}.db")
+            cold_log = Path(tmp) / f"cold-{index}.log"
             passes = {}
             for cold in (True, False) if index % 2 == 0 else (False, True):
-                passes[cold] = advise_pass(cold_db if cold else warm_db, cold)
+                passes[cold] = advise_pass(
+                    cold_log if cold else warm_log, cold
+                )
             cold_sec, cold_stats, _ = passes[True]
             warm_sec, warm_stats, views = passes[False]
             assert cold_stats["selection_saves"] == DOCUMENTS, cold_stats
@@ -200,18 +203,18 @@ def measure_warm_start() -> dict:
 
 
 def measure_replay_identity() -> dict:
-    """Memory vs cold-SQLite vs warm-SQLite catalog replays."""
+    """Memory vs cold-log vs warm-log catalog replays."""
     with tempfile.TemporaryDirectory() as tmp:
-        db_path = Path(tmp) / "catalog.db"
+        path = Path(tmp) / "catalog.log"
         memory = replay_catalog(
             CatalogReplayConfig(**REPLAY_CONFIG), seed=REPLAY_SEED
         )
         cold = replay_catalog(
-            CatalogReplayConfig(**REPLAY_CONFIG, db_path=db_path),
+            CatalogReplayConfig(**REPLAY_CONFIG, persist_path=path),
             seed=REPLAY_SEED,
         )
         warm = replay_catalog(
-            CatalogReplayConfig(**REPLAY_CONFIG, db_path=db_path),
+            CatalogReplayConfig(**REPLAY_CONFIG, persist_path=path),
             seed=REPLAY_SEED,
         )
     return {
@@ -278,7 +281,7 @@ def _fragment_candidates(template):
                 yield pair
 
 
-def _serving_spec(db_path: str):
+def _serving_spec():
     """The serving stream: its catalog spec, requests and fragment views.
 
     The spec carries the advised templates plus the curated fragment
@@ -309,7 +312,6 @@ def _serving_spec(db_path: str):
             )
             for doc_id, tree in docs.items()
         ),
-        db_path=db_path,
         max_views=MAX_VIEWS,
         tractable_only=False,
     )
@@ -345,20 +347,15 @@ def measure_serving_ratios() -> dict:
     They count plans, not time, so ``bench_ratio_guard.py`` re-measures
     them on every run instead of trusting the committed record.
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        spec, requests, _ = _serving_spec(str(Path(tmp) / "catalog.db"))
-        inline = _serve_inline(spec, requests)
-    return _plan_ratios(inline.plan_kinds)
+    spec, requests, _ = _serving_spec()
+    return _plan_ratios(_serve_inline(spec, requests).plan_kinds)
 
 
 def measure_serving() -> dict:
     """The serving stream's shape and its two plan ratios (one inline
     pass, as :func:`measure_serving_ratios`)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        spec, requests, fragments = _serving_spec(
-            str(Path(tmp) / "catalog.db")
-        )
-        inline = _serve_inline(spec, requests)
+    spec, requests, fragments = _serving_spec()
+    inline = _serve_inline(spec, requests)
     return {
         "requests": len(requests),
         "documents": DOCUMENTS,
@@ -395,8 +392,8 @@ def test_bench_catalog(report=None):
     if report is not None:
         report(json.dumps(result, indent=2))
     # Warm-start acceptance floor: recorded speedups are far higher
-    # (re-advising is containment-heavy; loading a selection is a
-    # SQLite row plus a parse), 5x is the floor itself.
+    # (re-advising is containment-heavy; loading a selection is a dict
+    # lookup in the replayed log plus a parse), 5x is the floor itself.
     assert result["warm_start"]["speedup"] >= 5.0, result["warm_start"]
     identity = result["replay_identity"]
     assert identity["cold_counters_identical_to_memory"], identity

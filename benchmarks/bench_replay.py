@@ -32,16 +32,18 @@ future PRs can diff against this PR's baseline:
   high-temporal-locality stream over a 2,000-node document where
   duplicate answers carry real evaluation cost.  After one untimed
   warm-up round, each round replays every window size, in alternating
-  order, and the record holds each batched size's median per-round
-  speedup with its range.  Acceptance floor: the better median is
-  >= 1.3x single-call throughput.
+  order, each replay after a full ``gc.collect()``, and the record
+  holds each batched size's median per-round speedup with its range.
+  Acceptance floor: the better median is >= 1.3x single-call
+  throughput.
 
 * **Tracing overhead**: the smaller replay scenario with a
   :class:`~repro.obs.Tracer` + :class:`~repro.obs.MetricsRegistry`
   installed (one root span per query, registry publishing at replay
-  end) against the same replay with observability off: the median
-  per-round ratio of paired rounds, plain then traced, after a shared
-  warm-up.  The committed
+  end) against the same replay with observability off.  Each arm runs
+  after a full ``gc.collect()`` and is timed in process CPU time;
+  rounds alternate which arm runs first, and the record holds the
+  median per-round ratio of 30 rounds with its range.  The committed
   ``overhead_ratio`` must stay at or under the embedded ``ceiling``
   (1.05 — instrumentation is allowed to cost at most 5%), which
   ``benchmarks/bench_ratio_guard.py`` enforces on the *record* so the
@@ -58,6 +60,7 @@ machines).
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import statistics
@@ -134,7 +137,7 @@ BATCH_ROUNDS = 5
 #: rounds, with the ceiling embedded in the record for
 #: ``bench_ratio_guard.py``.
 TRACING_SCENARIO = "stream-200x8-doc300"
-TRACING_RUNS = 5
+TRACING_ROUNDS = 30
 TRACING_OVERHEAD_CEILING = 1.05
 
 #: view_plan_ratio floors, embedded in the JSON and enforced by
@@ -287,8 +290,10 @@ def measure_batched() -> dict:
     One untimed warm-up round, then :data:`BATCH_ROUNDS` rounds that
     each replay every window size — single-call first in even rounds,
     last in odd ones — so host drift hits both sides of a round's
-    ratio alike.  Per size, the record holds the median throughput and
-    the median per-round speedup with its range.
+    ratio alike.  Every replay starts after a full ``gc.collect()``, so
+    a collection the previous replay left due is not billed to the
+    next.  Per size, the record holds the median throughput and the
+    median per-round speedup with its range.
     """
     base = dict(
         stream=BATCH_STREAM,
@@ -297,13 +302,14 @@ def measure_batched() -> dict:
     )
     sizes = (1,) + BATCH_SIZES
 
+    def replay(size: int):
+        gc.collect()
+        return replay_workload(
+            ReplayConfig(**base, batch_size=size), seed=REPLAY_SEED
+        )
+
     def replay_round(order) -> dict:
-        return {
-            size: replay_workload(
-                ReplayConfig(**base, batch_size=size), seed=REPLAY_SEED
-            )
-            for size in order
-        }
+        return {size: replay(size) for size in order}
 
     replay_round(sizes)  # warm-up, untimed
     rounds = [
@@ -353,54 +359,57 @@ def measure_batched() -> dict:
 def measure_tracing_overhead() -> dict:
     """Instrumented vs plain replay: what does observability cost?
 
-    The replay is short (~0.3s), so independent best-of-N on each arm
-    is at the mercy of machine drift between the arms.  Instead every
-    round runs plain-then-traced back to back — the pair shares
-    whatever state the machine is in — and the recorded
-    ``overhead_ratio`` is the **median of the per-round ratios**,
-    which cancels drift and shrugs off one outlier round.  One untimed
-    warmup first, so the global containment memo warms both arms
-    equally.  The spans count pins down *what* the traced arm paid
-    for (one root per replayed query plus its engine children).
+    The replay is short (~0.2s), so one garbage collection more or
+    less in an arm moves its time by more than the ceiling allows.
+    Each arm therefore starts after a full ``gc.collect()`` and is
+    timed in process CPU time; :data:`TRACING_ROUNDS` paired rounds
+    alternate which arm runs first, so drift on the host hits both
+    sides of a round's ratio alike.  The recorded ``overhead_ratio``
+    is the **median of the per-round ratios**, with its range.  One
+    untimed warm-up first, so the global containment memo warms both
+    arms equally.  The spans count pins down *what* the traced arm
+    paid for (one root per replayed query plus its engine children).
     """
     config = REPLAY_SCENARIOS[TRACING_SCENARIO]
 
     def run_once(traced: bool) -> tuple[float, int]:
         tracer = Tracer()
         previous_tracer = previous_registry = None
+        gc.collect()
         if traced:
             previous_tracer = install_tracer(tracer)
             previous_registry = install_registry(MetricsRegistry())
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         try:
             replay_workload(config, seed=REPLAY_SEED)
         finally:
             if traced:
                 install_tracer(previous_tracer)
                 install_registry(previous_registry)
-        return time.perf_counter() - t0, len(tracer.records())
+        return time.process_time() - t0, len(tracer.records())
 
     run_once(False)  # warmup, untimed
     ratios: list[float] = []
     plain_times: list[float] = []
     traced_times: list[float] = []
     spans = 0
-    for _ in range(TRACING_RUNS):
-        plain, _ = run_once(False)
-        traced, spans = run_once(True)
+    for index in range(TRACING_ROUNDS):
+        arms = {}
+        for traced in (False, True) if index % 2 == 0 else (True, False):
+            arms[traced] = run_once(traced)
+        (plain, _), (traced_sec, spans) = arms[False], arms[True]
         plain_times.append(plain)
-        traced_times.append(traced)
-        ratios.append(traced / plain)
-    ratios.sort()
-    median = ratios[len(ratios) // 2]
+        traced_times.append(traced_sec)
+        ratios.append(traced_sec / plain)
     return {
         "scenario": TRACING_SCENARIO,
-        "runs": TRACING_RUNS,
-        "plain_sec": round(min(plain_times), 4),
-        "traced_sec": round(min(traced_times), 4),
+        "clock": "process_time",
+        "rounds": TRACING_ROUNDS,
+        "plain_sec": round(statistics.median(plain_times), 4),
+        "traced_sec": round(statistics.median(traced_times), 4),
         "spans": spans,
-        "round_ratios": [round(r, 3) for r in ratios],
-        "overhead_ratio": round(median, 3),
+        "overhead_ratio": round(statistics.median(ratios), 3),
+        "ratio_range": [round(min(ratios), 3), round(max(ratios), 3)],
         "ceiling": TRACING_OVERHEAD_CEILING,
     }
 

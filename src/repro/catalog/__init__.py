@@ -2,14 +2,13 @@
 
 The layer above :mod:`repro.views` for the many-documents regime:
 
-* :class:`~repro.catalog.sqlite_backend.SqliteBackend` — the
-  :class:`~repro.views.persist.StoreBackend` protocol on SQLite in WAL
-  mode (concurrent readers, one file per catalog), including persisted
-  advisor *selection records* for warm starts;
 * :class:`~repro.catalog.catalog.Catalog` — documents registered by id,
   one ``ViewStore``/``QueryEngine`` per document over one shared
   backend, a typed-error router for ``(document, query)`` requests and
-  digest-validated cross-batch answer caching;
+  digest-validated cross-batch answer caching.  A durable catalog runs
+  on the snapshot log, ``Catalog(backend=SnapshotBackend(path))``
+  (:mod:`repro.views.persist`), which also keeps the advisor's
+  *selection records* for warm starts;
 * :class:`~repro.catalog.server.CatalogServer` — batch sharding across
   a process pool (planning is CPU-bound), with a deterministic
   single-process mode that keeps counters regression-testable;
@@ -41,7 +40,6 @@ from .server import (
     build_catalog,
 )
 from .serving import AsyncFrontEnd, ServeStats
-from .sqlite_backend import SqliteBackend
 
 __all__ = [
     "AsyncFrontEnd",
@@ -57,6 +55,5 @@ __all__ = [
     "ReplicationStats",
     "RoutedAnswer",
     "ServeStats",
-    "SqliteBackend",
     "build_catalog",
 ]

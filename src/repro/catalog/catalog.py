@@ -6,10 +6,11 @@ per query, where cheap answerability routing happens before any solver
 call.  A :class:`Catalog` owns
 
 * a **shared storage backend** — one
-  :class:`~repro.views.persist.StoreBackend` (in-memory, snapshot log,
-  or :class:`~repro.catalog.sqlite_backend.SqliteBackend`) holding every
-  document's materializations and advisor selections, keyed by document
-  digest so documents never collide;
+  :class:`~repro.views.persist.StoreBackend` (in-memory, or the
+  :class:`~repro.views.persist.SnapshotBackend` log for a catalog that
+  outlives its process) holding every document's materializations and
+  advisor selections, keyed by document digest so documents never
+  collide;
 * one **`ViewStore` + `QueryEngine` per registered document**;
 * the serving tier's **batch step** (:meth:`answer_many`): XPath texts
   in, sorted preorder ids out.  It holds the one cross-batch answer
@@ -42,12 +43,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from ..core.rewrite import RewriteSolver
 from ..errors import CatalogError, UnknownDocumentError
-from ..faults import FaultPolicy
 from ..obs import current_registry, span
 from ..patterns.ast import Pattern
 from ..patterns.parse import parse_pattern
@@ -62,7 +61,6 @@ from ..views.persist import MemoryBackend, StoreBackend
 from ..views.store import ViewStore
 from ..xmltree.node import TNode
 from ..xmltree.tree import XMLTree
-from .sqlite_backend import SqliteBackend
 
 __all__ = [
     "Catalog",
@@ -147,14 +145,12 @@ class Catalog:
 
     Parameters
     ----------
-    db_path:
-        When set, the catalog persists through a
-        :class:`~repro.catalog.sqlite_backend.SqliteBackend` at this
-        path (shared by every document); ``None`` keeps everything in
-        one in-memory backend.  Mutually exclusive with ``backend``.
     backend:
-        An explicit shared backend instance (the catalog takes
-        ownership and closes it).
+        The shared backend every document persists through (the
+        catalog takes ownership and closes it).  ``None`` keeps
+        everything in one in-memory backend; a
+        :class:`~repro.views.persist.SnapshotBackend` makes the catalog
+        durable, so a later catalog over the same log warm-starts.
     answer_cache_size:
         Capacity of each document's answer cache in :meth:`answer_many`,
         in XPath texts (0 disables it).
@@ -166,39 +162,21 @@ class Catalog:
         plans to the tractable merge regime; False also accepts
         certificate-carrying intractable-regime merges (see
         :mod:`repro.core.intersect`).
-    fault_policy:
-        Deterministic fault-injection hooks (:mod:`repro.faults`)
-        handed to the SQLite backend built from ``db_path`` — the test
-        seam for backend I/O-error degradation.  Only meaningful with
-        ``db_path``; an explicit ``backend`` carries its own policy.
     """
 
     def __init__(
         self,
         *,
-        db_path: str | Path | None = None,
         backend: StoreBackend | None = None,
         answer_cache_size: int = DEFAULT_ANSWER_CACHE,
         max_models: int | None = None,
         tractable_only: bool = True,
-        fault_policy: FaultPolicy | None = None,
     ) -> None:
-        if db_path is not None and backend is not None:
-            raise CatalogError("pass db_path or backend, not both")
-        if fault_policy is not None and db_path is None:
-            raise CatalogError(
-                "fault_policy rides on the SQLite backend — pass db_path "
-                "(an explicit backend carries its own policy)"
-            )
         if answer_cache_size < 0:
             raise CatalogError("answer_cache_size must be >= 0")
-        if backend is None:
-            backend = (
-                SqliteBackend(db_path, fault_policy=fault_policy)
-                if db_path is not None
-                else MemoryBackend()
-            )
-        self.backend: StoreBackend = backend
+        self.backend: StoreBackend = (
+            backend if backend is not None else MemoryBackend()
+        )
         self.answer_cache_size = answer_cache_size
         self.max_models = max_models
         self.tractable_only = tractable_only
@@ -473,26 +451,6 @@ class Catalog:
         if registry is not None:
             registry.publish("backend", stats)
         return stats
-
-    def prune(self, *, ttl_seconds: float = 0.0, clock=None) -> int:
-        """Evict backend rows for documents no longer in this catalog.
-
-        Threads the registered digests through
-        :meth:`SqliteBackend.prune
-        <repro.catalog.sqlite_backend.SqliteBackend.prune>` as the live
-        set, so only rows orphaned by unregistration or re-digesting
-        (and older than ``ttl_seconds`` by ``clock``) are deleted.
-        Backends without a ``prune`` method (the snapshot log compacts
-        instead) are a no-op returning 0.
-        """
-        pruner = getattr(self.backend, "prune", None)
-        if pruner is None:
-            return 0
-        live = {
-            entry.store.document_digest(doc_id)
-            for doc_id, entry in self._entries.items()
-        }
-        return pruner(live, ttl_seconds=ttl_seconds, clock=clock)
 
     def close(self) -> None:
         """Close the shared backend (stores do not own it)."""

@@ -148,10 +148,9 @@ class ReplicaSet:
     ----------
     spec:
         The fleet description (:class:`~repro.catalog.server.
-        CatalogSpec`).  ``spec.db_path`` must be ``None`` — replication
-        ships the snapshot log, so the set owns its storage layout
-        under ``root`` (``writer.log`` plus one ``replica-N.log`` per
-        replica).
+        CatalogSpec`).  Replication ships the snapshot log, so the set
+        owns its storage layout under ``root`` (``writer.log`` plus one
+        ``replica-N.log`` per replica).
     replicas:
         Reader count (>= 1).
     root:
@@ -192,11 +191,6 @@ class ReplicaSet:
     ) -> None:
         if replicas < 1:
             raise CatalogError("a ReplicaSet needs >= 1 replica")
-        if spec.db_path is not None:
-            raise CatalogError(
-                "replication ships the snapshot log — pass a spec without "
-                "db_path (the set lays out its own files under root)"
-            )
         if max_lag_records is not None and max_lag_records < 0:
             raise CatalogError("max_lag_records must be >= 0 (or None)")
         if max_lag_seconds is not None and max_lag_seconds < 0:

@@ -5,8 +5,8 @@ batches *off* the event loop and across cores.  Python processes do not
 share pattern/tree objects, which dictates the transport:
 
 * a :class:`CatalogSpec` is a fully picklable description of the fleet —
-  documents as XML text, advisor workloads as XPath strings, plus the
-  shared SQLite path — from which any process can rebuild an identical
+  documents as XML text, advisor workloads as XPath strings — from
+  which any process can rebuild an identical
   :class:`~repro.catalog.catalog.Catalog` (:func:`build_catalog`);
 * requests ship as ``(document id, XPath)`` pairs and answers come back
   as **sorted preorder indexes** (the same process-independent encoding
@@ -28,10 +28,12 @@ share pattern/tree objects, which dictates the transport:
   state — decision caches, its answer cache, containment engines — lives
   in exactly one process and is never recomputed by its siblings;
   throughput scales across *documents*.  Results are read on the
-  caller's thread, so the serving process runs no helper thread.  With
-  a shared SQLite path the workers *warm-start*: advisor selections
-  and materializations load from the database instead of being
-  recomputed (see the catalog benchmark's scaling section).
+  caller's thread, so the serving process runs no helper thread.
+
+A catalog built from a spec keeps its materializations in memory.
+Durable serving is the replicated tier's
+(:class:`~repro.catalog.replication.ReplicaSet`), whose writer and
+replicas run on snapshot logs.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class DocumentSpec:
 
     ``workload_xpaths``/``weights`` are the advisor inputs — they (not
     the selected views) are what the selection fingerprint binds, so a
-    worker rebuilding from this spec computes the same fingerprint and
-    warm-starts from the same persisted selection.  ``view_xpaths`` are
+    replica rebuilding from this spec computes the same fingerprint and
+    warm-starts from the shipped selection.  ``view_xpaths`` are
     *explicit* views defined after advising (curated partial views, the
     intersection-plan regime) — see :meth:`Catalog.define_views
     <repro.catalog.catalog.Catalog.define_views>`.
@@ -112,7 +114,6 @@ class CatalogSpec:
     """Everything needed to rebuild the catalog in another process."""
 
     documents: tuple[DocumentSpec, ...]
-    db_path: str | None = None
     max_views: int = 4
     answer_cache_size: int = 512
     max_models: int | None = None
@@ -124,15 +125,13 @@ def build_catalog(
 ) -> Catalog:
     """Rebuild a catalog from its spec: register and advise every document.
 
-    With ``spec.db_path`` set and a previously populated database this
-    is the warm path — selections and materializations load instead of
-    being recomputed.  An explicit ``backend`` overrides ``db_path``
-    (the replicated read tier builds writer and replica catalogs over
-    its own snapshot logs this way); the catalog takes ownership and
-    closes it.
+    ``backend`` defaults to an in-memory one.  Over a previously
+    populated snapshot log this is the warm path: selections and
+    materializations load instead of being recomputed (the replicated
+    read tier builds its writer and replica catalogs this way).  The
+    catalog takes ownership of the backend and closes it.
     """
     catalog = Catalog(
-        db_path=spec.db_path if backend is None else None,
         backend=backend,
         answer_cache_size=spec.answer_cache_size,
         max_models=spec.max_models,
@@ -229,8 +228,7 @@ class CatalogServer:
         catalog from the spec on first inline use (a bad spec raises
         then, not here); ``n >= 1`` shards batches document-affinely
         across ``n`` worker processes that rebuild the catalog from the
-        spec (warm-starting from ``spec.db_path`` when set), each
-        started by its shard's first batch.
+        spec, each started by its shard's first batch.
     result_timeout:
         Upper bound, in seconds, on every wait for a worker future.
         In :meth:`serve_requests` a wedged worker surfaces as a typed

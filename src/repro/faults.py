@@ -1,10 +1,10 @@
 """Deterministic fault injection for the serving tier.
 
 Serving robustness — retry-once on shard death, shed-on-deadline,
-degrade-to-inline, I/O-error tolerance — is only trustworthy if it is
+degrade-to-inline, replica failover — is only trustworthy if it is
 *testable*, and testable means deterministic: no killed processes, no
-real disk errors, no ``time.sleep`` races.  This module is the seam the
-serving components expose for exactly that:
+``time.sleep`` races.  This module is the seam the serving components
+expose for exactly that:
 
 * :class:`VirtualClock` — an injectable monotonic clock.  Components
   that compare deadlines accept any zero-argument callable returning
@@ -21,10 +21,8 @@ serving components expose for exactly that:
   by the async front end's inline execution path, so single-process
   tests exercise the same retry machinery);
   :meth:`~FaultPolicy.on_replica` by the replicated read tier before
-  each replica serve and ship; :meth:`~FaultPolicy.on_backend` by
-  :class:`~repro.catalog.sqlite_backend.SqliteBackend` before every
-  database operation.  The base policy injects nothing — production
-  code paths pay one ``is None`` check.
+  each replica serve and ship.  The base policy injects nothing —
+  production code paths pay one ``is None`` check.
 * :class:`ScriptedFaultPolicy` — the test implementation: faults keyed
   by deterministic call indexes, with an injection log for assertions.
 * :func:`raise_injected` — the one translation from an action to an
@@ -42,15 +40,14 @@ shard pool        a failed future carrying     a future that       the        th
                                                ``result_timeout``             proceeds
 inline front end  ``ShardCrashError``          as ``crash``        as above   as above
 replica           ``ReplicaUnavailableError``  as ``crash``        as above   as above
-SQLite backend    ignored                      ignored             as above   as above
 ================  ===========================  ==================  =========  =========
 
 Only the shard pool has a future to leave pending, so it is the one
 consumer where ``hang`` differs from ``crash``; the synchronous
-consumers raise at once through :func:`raise_injected`.  The SQLite
-backend raises the carried exception inside its protected region, so
-it degrades exactly as a real ``sqlite3.Error`` would (a miss, or a
-skipped write).
+consumers raise at once through :func:`raise_injected`.  Storage I/O
+errors are not injected here: the snapshot log counts a failed append
+in ``BackendStats.io_errors`` and serving continues
+(:class:`~repro.views.persist.SnapshotBackend`).
 """
 
 from __future__ import annotations
@@ -146,14 +143,6 @@ class FaultPolicy:
         """Consulted before each shard submission (and inline serve)."""
         return None
 
-    def on_backend(self, op: str) -> FaultAction | None:
-        """Consulted before each storage-backend operation.
-
-        ``op`` names the operation: ``load``, ``save``,
-        ``load_selection``, ``save_selection`` or ``prune``.
-        """
-        return None
-
     def on_replica(self, op: str, replica_index: int) -> FaultAction | None:
         """Consulted by the replicated read tier per replica operation.
 
@@ -174,12 +163,11 @@ class ScriptedFaultPolicy(FaultPolicy):
 
     ``submit`` maps the 0-based *global* submission index (counted
     across all shards, in submission order — deterministic for the
-    serial drain visits that consult it) to an action; ``backend`` maps
-    ``(op, per-op index)`` pairs; ``replica`` maps ``(op, per-op
-    index)`` pairs for the replicated read tier (the index counts
-    calls per op across all replicas, in dispatch order — the logged
-    entry records which replica drew the fault).  Unkeyed calls
-    proceed fault-free.
+    serial drain visits that consult it) to an action; ``replica`` maps
+    ``(op, per-op index)`` pairs for the replicated read tier (the
+    index counts calls per op across all replicas, in dispatch order —
+    the logged entry records which replica drew the fault).  Unkeyed
+    calls proceed fault-free.
 
     ``clock`` (a :class:`VirtualClock`) is advanced by ``delay``
     actions; ``injected`` logs every action actually handed out, in
@@ -187,11 +175,9 @@ class ScriptedFaultPolicy(FaultPolicy):
     """
 
     submit: dict[int, FaultAction] = field(default_factory=dict)
-    backend: dict[tuple[str, int], FaultAction] = field(default_factory=dict)
     replica: dict[tuple[str, int], FaultAction] = field(default_factory=dict)
     clock: VirtualClock | None = None
     submit_calls: int = 0
-    backend_calls: dict[str, int] = field(default_factory=dict)
     replica_calls: dict[str, int] = field(default_factory=dict)
     injected: list[tuple[str, FaultAction]] = field(default_factory=list)
 
@@ -208,15 +194,6 @@ class ScriptedFaultPolicy(FaultPolicy):
         self.submit_calls += 1
         if action is not None:
             self.injected.append((f"submit[{shard_index}]", action))
-        self._serve_delay(action)
-        return action
-
-    def on_backend(self, op: str) -> FaultAction | None:
-        index = self.backend_calls.get(op, 0)
-        self.backend_calls[op] = index + 1
-        action = self.backend.get((op, index))
-        if action is not None:
-            self.injected.append((f"backend.{op}", action))
         self._serve_delay(action)
         return action
 

@@ -128,13 +128,10 @@ class BackendStats(StatsBase):
     directory-fsync failures after a compaction rename: non-fatal (the
     rename stays atomic) but a crash-durability window the operator
     should be able to see instead of it vanishing into a bare ``pass``.
-    ``io_errors`` counts storage operations that failed at the I/O
-    layer (e.g. SQLite errors): reads degrade to misses and writes are
-    skipped — serving proceeds, durability is what was lost, and this
-    counter is how an operator notices.  ``evicted_rows`` counts rows
-    deleted by TTL pruning (:meth:`SqliteBackend.prune
-    <repro.catalog.sqlite_backend.SqliteBackend.prune>`) — stale
-    digests aged out, distinct from explicit ``invalidations``.
+    ``io_errors`` counts appends the snapshot log's file refused (an
+    ``OSError``): the record is skipped and serving proceeds —
+    durability is what was lost, and this counter is how an operator
+    notices.
     """
 
     hits: int = 0
@@ -147,7 +144,6 @@ class BackendStats(StatsBase):
     selection_saves: int = 0
     fsync_failures: int = 0
     io_errors: int = 0
-    evicted_rows: int = 0
 
 
 class StoreBackend(Protocol):
@@ -212,6 +208,11 @@ class _RejectLoadedMixin:
         self.stats.corrupt_records += 1
 
 
+def _json_copy(payload: dict) -> dict:
+    """A deep copy through JSON, as a durable round trip would return."""
+    return json.loads(json.dumps(payload))
+
+
 class _SelectionMapMixin:
     """Shared selection-record bookkeeping over a ``_selections`` dict.
 
@@ -226,15 +227,13 @@ class _SelectionMapMixin:
             self.stats.selection_misses += 1
             return None
         self.stats.selection_hits += 1
-        return json.loads(json.dumps(payload))
+        return _json_copy(payload)
 
     def _store_selection(
-        self, doc_digest: str, fingerprint: str, payload: dict
-    ) -> dict:
-        clean = json.loads(json.dumps(payload))
+        self, doc_digest: str, fingerprint: str, clean: dict
+    ) -> None:
         self._selections[(doc_digest, fingerprint)] = clean
         self.stats.selection_saves += 1
-        return clean
 
     def _drop_selections(self, doc_digest: str) -> None:
         for key in [k for k in self._selections if k[0] == doc_digest]:
@@ -281,7 +280,7 @@ class MemoryBackend(_RejectLoadedMixin, _SelectionMapMixin):
     def save_selection(
         self, doc_digest: str, fingerprint: str, payload: dict
     ) -> None:
-        self._store_selection(doc_digest, fingerprint, payload)
+        self._store_selection(doc_digest, fingerprint, _json_copy(payload))
 
     def invalidate_document(self, doc_digest: str) -> None:
         stale = [key for key in self._entries if key[0] == doc_digest]
@@ -406,7 +405,11 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
 
     Writes are appended and flushed immediately (``fsync`` when
     ``sync=True``); :meth:`compact` rewrites the log with only the live
-    entries, dropping superseded and invalidated records.
+    entries, dropping superseded and invalidated records.  An append
+    the file refuses loses durability, never availability: it is
+    counted in ``stats.io_errors`` and changes nothing else, so the
+    in-memory map always equals what replaying the log gives (a save
+    that failed is a later miss, and the store re-evaluates).
 
     Replication (PR 9): every appended record carries a monotone
     sequence number ``seq`` (covered by the checksum), so the log
@@ -511,15 +514,28 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
         else:  # unknown op from a future version: ignore, keep the rest
             self.stats.corrupt_records += 1
 
-    def _append(self, record: dict) -> None:
+    def _append(self, record: dict) -> bool:
+        """Append ``record`` under the next seqno; False if the file refused.
+
+        A refused append (an ``OSError``) is counted in
+        ``stats.io_errors`` and takes no seqno; callers then leave their
+        in-memory state as it was.  Whatever the disk kept of the line
+        is validated like any other on the next open: a torn record
+        fails its checksum and is skipped.
+        """
         record["seq"] = self._last_seqno + 1
         record["v"] = FORMAT_VERSION
         record["sum"] = _record_checksum(record)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        if self.sync:
-            os.fsync(self._fh.fileno())
+        try:
+            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.flush()
+            if self.sync:
+                os.fsync(self._fh.fileno())
+        except OSError:
+            self.stats.io_errors += 1
+            return False
         self._last_seqno = record["seq"]
+        return True
 
     # ------------------------------------------------------------------
     # StoreBackend protocol
@@ -547,7 +563,8 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
         key = (doc_digest, pat_digest)
         record = {"op": "put", "doc": doc_digest, "pat": pat_digest,
                   "xpath": xpath, "ids": ids}
-        self._append(record)
+        if not self._append(record):
+            return
         self._entries[key] = ids
         self._xpaths[key] = xpath
         self._entry_seqs[key] = record["seq"]
@@ -556,14 +573,17 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
     def save_selection(
         self, doc_digest: str, fingerprint: str, payload: dict
     ) -> None:
-        clean = self._store_selection(doc_digest, fingerprint, payload)
+        clean = _json_copy(payload)
         record = {"op": "selection", "doc": doc_digest, "fp": fingerprint,
                   "payload": clean}
-        self._append(record)
+        if not self._append(record):
+            return
+        self._store_selection(doc_digest, fingerprint, clean)
         self._selection_seqs[(doc_digest, fingerprint)] = record["seq"]
 
     def invalidate_document(self, doc_digest: str) -> None:
-        self._append({"op": "invalidate", "doc": doc_digest})
+        if not self._append({"op": "invalidate", "doc": doc_digest}):
+            return
         for key in [k for k in self._entries if k[0] == doc_digest]:
             del self._entries[key]
             self._xpaths.pop(key, None)

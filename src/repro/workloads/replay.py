@@ -21,8 +21,9 @@ from a warm store.
 The multi-document variant is :func:`replay_catalog`
 (:class:`CatalogReplayConfig`): several independent document+stream
 pairs behind one :class:`~repro.catalog.catalog.Catalog`, advised per
-document (with SQLite-persisted selections warm-starting later runs)
-and replayed as one interleaved, routed request stream.
+document and replayed as one interleaved, routed request stream.  Its
+``persist_path`` puts the catalog on the same snapshot log, whose
+selection records warm-start later runs.
 
 The async serving tier is not replayed here: ``perfbench/run.py``
 drives it open-loop on a fresh stack per pass and checks every answer
@@ -83,6 +84,11 @@ DOCUMENT = "replay-doc"
 def _delta(after: dict, before: dict) -> dict:
     """Per-key counter change between two stats snapshots."""
     return {key: after[key] - before[key] for key in after}
+
+
+def _log_backend(persist_path: str | Path | None) -> SnapshotBackend | None:
+    """The snapshot log at ``persist_path``; None keeps it in memory."""
+    return SnapshotBackend(persist_path) if persist_path is not None else None
 
 
 @dataclass
@@ -359,17 +365,19 @@ class CatalogReplayConfig:
 
     ``documents`` independent document+stream pairs are derived from the
     seed, registered in one :class:`~repro.catalog.catalog.Catalog`,
-    advised per document (warm-starting from persisted selections when
-    ``db_path`` points at a populated catalog database), and replayed as
-    one interleaved request stream through the catalog router in
-    windows of ``batch_size``.
+    advised per document, and replayed as one interleaved request stream
+    through the catalog router in windows of ``batch_size``.  With
+    ``persist_path`` set the catalog runs on a
+    :class:`~repro.views.persist.SnapshotBackend` at that path, as
+    :attr:`ReplayConfig.persist_path` does for one store: a run against
+    a populated log warm-starts from its persisted selections.
     """
 
     documents: int = 2
     stream: StreamConfig = field(default_factory=StreamConfig)
     document_size: int = 300
     max_views: int = 4
-    db_path: str | Path | None = None
+    persist_path: str | Path | None = None
     batch_size: int = 16
     verify: bool = False
 
@@ -430,7 +438,7 @@ class CatalogReplayReport:
         """The deterministic portion (same contract as ``ReplayReport``).
 
         Bit-for-bit reproducible for a fixed config, seed and cache
-        configuration — in-memory, cold-SQLite and warm-SQLite runs all
+        configuration — in-memory, cold-log and warm-log runs all
         compare equal, because the harness clears the containment
         caches *between* the advising phase and the replay (a warm
         start skips advising, so without the reset the two paths would
@@ -499,7 +507,7 @@ def replay_catalog(
     base = 0 if seed is None else int(seed)
 
     report = CatalogReplayReport()
-    catalog = Catalog(db_path=config.db_path)
+    catalog = Catalog(backend=_log_backend(config.persist_path))
     try:
         samples: dict[str, StreamSample] = {}
         for index in range(config.documents):
@@ -618,12 +626,7 @@ def replay_workload(
     document = random_tree(config.document_size, seed=seed)
     sample: StreamSample = sample_stream(config.stream, seed=seed)
 
-    backend = (
-        SnapshotBackend(config.persist_path)
-        if config.persist_path is not None
-        else None
-    )
-    store = ViewStore(backend=backend)
+    store = ViewStore(backend=_log_backend(config.persist_path))
     try:
         store.add_document(DOCUMENT, document)
         chosen: list[str] = []

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import sqlite3
-import threading
-
 import pytest
 
 from repro.catalog import (
@@ -13,7 +9,6 @@ from repro.catalog import (
     CatalogServer,
     CatalogSpec,
     DocumentSpec,
-    SqliteBackend,
     build_catalog,
 )
 from repro.errors import (
@@ -22,9 +17,9 @@ from repro.errors import (
     UnknownDocumentError,
     ViewEngineError,
 )
-from repro.faults import FaultAction, ScriptedFaultPolicy, VirtualClock
 from repro.patterns.parse import parse_pattern
 from repro.patterns.serialize import to_xpath
+from repro.views.persist import SnapshotBackend
 from repro.workloads.replay import CatalogReplayConfig, replay_catalog
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
@@ -34,8 +29,13 @@ from .oracle import direct_answers
 
 
 @pytest.fixture
-def db_path(tmp_path):
-    return tmp_path / "catalog.db"
+def log_path(tmp_path):
+    return tmp_path / "catalog.log"
+
+
+def durable(path) -> Catalog:
+    """A catalog on the snapshot log at ``path``."""
+    return Catalog(backend=SnapshotBackend(path))
 
 
 def small_fleet(count=2, size=200, stream_len=40, seed=100):
@@ -60,284 +60,6 @@ def advise_fleet(catalog, docs, streams, max_views=3):
             max_views=max_views,
         )
     return advices
-
-
-# ----------------------------------------------------------------------
-# SqliteBackend
-# ----------------------------------------------------------------------
-
-class TestSqliteBackend:
-    def test_round_trip_and_miss(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            assert backend.load("d1", "p1") is None
-            backend.save("d1", "p1", [3, 1, 2], xpath="a/b")
-            assert backend.load("d1", "p1") == [1, 2, 3]
-            assert backend.stats.misses == 1
-            assert backend.stats.hits == 1
-            assert backend.stats.saves == 1
-
-    def test_entries_survive_reopen(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            backend.save("d1", "p1", [0, 5])
-            backend.save_selection("d1", "fp", {"format": 1, "views": []})
-        with SqliteBackend(db_path) as backend:
-            assert backend.load("d1", "p1") == [0, 5]
-            assert backend.load_selection("d1", "fp") == {
-                "format": 1,
-                "views": [],
-            }
-            assert backend.durable
-
-    def test_selection_miss_counts(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            assert backend.load_selection("d1", "nope") is None
-            assert backend.stats.selection_misses == 1
-            backend.save_selection("d1", "fp", {"views": []})
-            assert backend.stats.selection_saves == 1
-
-    def test_invalidate_drops_materializations_and_selections(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            backend.save("d1", "p1", [1])
-            backend.save("d2", "p1", [2])
-            backend.save_selection("d1", "fp", {"views": []})
-            backend.invalidate_document("d1")
-            assert backend.load("d1", "p1") is None
-            assert backend.load_selection("d1", "fp") is None
-            assert backend.load("d2", "p1") == [2]
-            assert backend.stats.invalidations == 1
-
-    def test_reject_loaded_reclassifies(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            backend.save("d1", "p1", [9])
-            assert backend.load("d1", "p1") == [9]
-            backend.reject_loaded("d1", "p1")
-            assert backend.stats.hits == 0
-            assert backend.stats.misses == 1
-            assert backend.stats.corrupt_records == 1
-            assert backend.load("d1", "p1") is None
-
-    def test_corrupt_row_degrades_to_miss(self, db_path):
-        with SqliteBackend(db_path) as backend:
-            backend.save("d1", "p1", [1, 2])
-        conn = sqlite3.connect(db_path)
-        conn.execute(
-            "UPDATE materializations SET ids = 'not-json' WHERE doc = 'd1'"
-        )
-        conn.commit()
-        conn.close()
-        with SqliteBackend(db_path) as backend:
-            assert backend.load("d1", "p1") is None
-            assert backend.stats.corrupt_records == 1
-            assert backend.stats.misses == 1
-            # The corrupt row was dropped; a fresh save repairs it.
-            backend.save("d1", "p1", [1, 2])
-            assert backend.load("d1", "p1") == [1, 2]
-
-    def test_closed_backend_raises_typed_error(self, db_path):
-        backend = SqliteBackend(db_path)
-        backend.close()
-        backend.close()  # idempotent
-        with pytest.raises(CatalogError):
-            backend.load("d1", "p1")
-
-
-class TestSqlitePrune:
-    """PR 9: TTL eviction of rows no registered document can load."""
-
-    def test_ttl_boundary_with_injected_clock(self, db_path):
-        clock = VirtualClock(start=100.0)
-        with SqliteBackend(db_path, clock=clock) as backend:
-            backend.save("dead", "p1", [1])
-            clock.advance(50.0)
-            backend.save("dead", "p2", [2])
-            # At t=150 with ttl=50, the cutoff is exactly the first
-            # row's stamp (inclusive): it goes, the fresh row stays.
-            assert backend.prune(set(), ttl_seconds=50.0) == 1
-            assert backend.stats.evicted_rows == 1
-            assert backend.load("dead", "p1") is None
-            assert backend.load("dead", "p2") == [2]
-
-    def test_live_digests_survive_any_age(self, db_path):
-        clock = VirtualClock(start=0.0)
-        with SqliteBackend(db_path, clock=clock) as backend:
-            backend.save("live", "p1", [1])
-            backend.save("dead", "p1", [2])
-            backend.save_selection("live", "fp", {"views": []})
-            backend.save_selection("dead", "fp", {"views": []})
-            clock.advance(10_000.0)
-            evicted = backend.prune({"live"})
-            assert evicted == 2  # dead's row in each table
-            assert backend.load("live", "p1") == [1]
-            assert backend.load_selection("live", "fp") == {"views": []}
-            assert backend.load("dead", "p1") is None
-
-    def test_injected_fault_degrades_without_deleting(self, db_path):
-        policy = ScriptedFaultPolicy(
-            backend={
-                ("prune", 0): FaultAction(
-                    "error", exc=sqlite3.OperationalError("disk gone")
-                )
-            }
-        )
-        with SqliteBackend(db_path, fault_policy=policy) as backend:
-            backend.save("dead", "p1", [1])
-            assert backend.prune(set()) == 0
-            assert backend.stats.io_errors == 1
-            assert backend.stats.evicted_rows == 0
-            assert backend.load("dead", "p1") == [1]  # nothing deleted
-            assert backend.prune(set()) == 1  # unscripted retry works
-
-    def test_legacy_database_migrates_in_place(self, db_path):
-        conn = sqlite3.connect(db_path)
-        conn.execute(
-            "CREATE TABLE materializations (doc TEXT NOT NULL, "
-            "pat TEXT NOT NULL, xpath TEXT NOT NULL DEFAULT '', "
-            "ids TEXT NOT NULL, PRIMARY KEY (doc, pat))"
-        )
-        conn.execute(
-            "CREATE TABLE selections (doc TEXT NOT NULL, fp TEXT NOT "
-            "NULL, payload TEXT NOT NULL, PRIMARY KEY (doc, fp))"
-        )
-        conn.execute(
-            "INSERT INTO materializations (doc, pat, ids) "
-            "VALUES ('old', 'p', '[7]')"
-        )
-        conn.commit()
-        conn.close()
-        with SqliteBackend(db_path) as backend:
-            assert backend.load("old", "p") == [7]
-            # Legacy rows carry stamp 0 — epoch-old, prunable under any
-            # real-clock TTL once orphaned.
-            assert backend.prune(set(), ttl_seconds=60.0) == 1
-
-    def test_catalog_prune_threads_registered_digests(self, db_path):
-        docs, streams = small_fleet(count=2)
-        catalog = Catalog(backend=SqliteBackend(db_path))
-        try:
-            advise_fleet(catalog, docs, streams)
-            catalog.backend.save("orphan-digest", "p", [1])
-            evicted = catalog.prune(ttl_seconds=0.0)
-            assert evicted >= 1
-            assert catalog.backend.load("orphan-digest", "p") is None
-            # Registered documents still serve from their rows.
-            assert catalog.prune(ttl_seconds=0.0) == 0
-            doc_id = next(iter(docs))
-            query = streams[doc_id].queries[0]
-            assert catalog.answer(doc_id, query) is not None
-        finally:
-            catalog.close()
-
-    def test_prune_after_refresh_keeps_current_rows(self, db_path):
-        """Regression: prune() took the digest from registration.
-
-        After a refresh that changed the document's shape it treated the
-        current materialization rows as orphans and deleted them, so a
-        restart re-evaluated every view instead of loading it.
-        """
-        tree = build_tree({"a": [{"b": ["c"]}, "b"]})
-        views = [parse_pattern("a/b"), parse_pattern("a//c")]
-        with Catalog(db_path=db_path) as catalog:
-            catalog.register("doc", tree)
-            catalog.define_views("doc", views)
-            tree.root.new_child("b")
-            catalog.entry("doc").store.refresh("doc")
-            assert catalog.prune(ttl_seconds=0.0) == 0
-        with Catalog(db_path=db_path) as catalog:
-            catalog.register("doc", tree)
-            catalog.define_views("doc", views)
-            stats = catalog.backend_stats()
-            assert stats["hits"] == len(views)
-            assert stats["saves"] == 0
-
-    def test_digest_follows_refresh(self, db_path):
-        """Regression: the catalog's digest went stale after a refresh.
-
-        ``document_digest``, ``counters()`` and the key ``advise``
-        persists its selection under all read the store's current
-        digest, so a restart over the edited document warm-starts.
-        """
-        docs, streams = small_fleet(count=1)
-        tree = docs["doc-0"]
-        with Catalog(db_path=db_path) as catalog:
-            catalog.register("doc-0", tree)
-            registered = catalog.document_digest("doc-0")
-            tree.root.new_child("b")
-            store = catalog.entry("doc-0").store
-            store.refresh("doc-0")
-            current = store.document_digest("doc-0")
-            assert current != registered
-            assert catalog.document_digest("doc-0") == current
-            assert catalog.counters()["doc-0"]["digest"] == current
-            catalog.advise(
-                "doc-0",
-                streams["doc-0"].templates,
-                weights=streams["doc-0"].template_weights(),
-                max_views=3,
-            )
-        with Catalog(db_path=db_path) as catalog:
-            (advice,) = advise_fleet(
-                catalog, {"doc-0": tree}, streams
-            ).values()
-            assert advice.warm
-
-    def test_catalog_prune_without_backend_support_is_noop(self):
-        docs, streams = small_fleet(count=1)
-        catalog = Catalog()  # MemoryBackend: no prune method
-        try:
-            advise_fleet(catalog, docs, streams)
-            assert catalog.prune(ttl_seconds=0.0) == 0
-        finally:
-            catalog.close()
-
-
-class TestSqliteConcurrency:
-    def test_concurrent_readers_under_writer(self, db_path):
-        """Threaded load/save on one WAL database (each its own connection)."""
-        with SqliteBackend(db_path) as backend:
-            for index in range(20):
-                backend.save("doc", f"pat-{index}", [index, index + 1])
-
-        errors: list[BaseException] = []
-        misreads: list[object] = []
-        stop = threading.Event()
-
-        def reader() -> None:
-            try:
-                with SqliteBackend(db_path) as mine:
-                    while not stop.is_set():
-                        for index in range(20):
-                            loaded = mine.load("doc", f"pat-{index}")
-                            # Readers may race the writer below, but a
-                            # loaded entry is always complete and valid.
-                            if loaded is not None and loaded != sorted(loaded):
-                                misreads.append(loaded)
-            except BaseException as exc:  # noqa: BLE001 - collected for assert
-                errors.append(exc)
-
-        def writer() -> None:
-            try:
-                with SqliteBackend(db_path) as mine:
-                    for round_ in range(15):
-                        for index in range(20):
-                            mine.save(
-                                "doc", f"pat-{index}", [index, index + round_]
-                            )
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        writing = threading.Thread(target=writer)
-        for thread in readers:
-            thread.start()
-        writing.start()
-        writing.join(timeout=60)
-        stop.set()
-        for thread in readers:
-            thread.join(timeout=60)
-        assert not errors, errors
-        assert not misreads, misreads
-        with SqliteBackend(db_path) as backend:
-            assert backend.load("doc", "pat-3") == [3, 17]
 
 
 # ----------------------------------------------------------------------
@@ -389,9 +111,9 @@ class TestCatalog:
             assert set(routed.groups) == {"x", "y"}
             assert routed.groups["x"].folded_queries == 1
 
-    def test_advise_cold_then_warm(self, db_path):
+    def test_advise_cold_then_warm(self, log_path):
         docs, streams = small_fleet()
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             advices = advise_fleet(catalog, docs, streams)
             assert all(not advice.warm for advice in advices.values())
             cold_views = {
@@ -399,7 +121,7 @@ class TestCatalog:
             }
             stats = catalog.backend_stats()
             assert stats["selection_saves"] == len(docs)
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             advices = advise_fleet(catalog, docs, streams)
             assert all(advice.warm for advice in advices.values())
             warm_views = {
@@ -410,11 +132,11 @@ class TestCatalog:
             assert stats["saves"] == 0  # every forest loaded
         assert warm_views == cold_views
 
-    def test_changed_workload_does_not_reuse_selection(self, db_path):
+    def test_changed_workload_does_not_reuse_selection(self, log_path):
         docs, streams = small_fleet(count=1)
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             advise_fleet(catalog, docs, streams)
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             catalog.register("doc-0", docs["doc-0"])
             # Different budget -> different fingerprint -> cold advise.
             advice = catalog.advise(
@@ -448,7 +170,7 @@ class TestCatalog:
             assert second.kinds == first.kinds
             assert second.folded_queries == 0  # hits are not folds
 
-    def test_counters_identical_cold_vs_warm(self, db_path):
+    def test_counters_identical_cold_vs_warm(self, log_path):
         """The same call sequence yields bit-identical catalog counters."""
         docs, streams = small_fleet()
 
@@ -466,18 +188,70 @@ class TestCatalog:
             catalog.route(requests)
             return catalog.counters()
 
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             cold = run(catalog)
-        with Catalog(db_path=db_path) as catalog:
+        with durable(log_path) as catalog:
             warm = run(catalog)
         assert warm == cold
+
+    def test_restart_after_refresh_loads_every_view(self, log_path):
+        """Regression: a refresh must leave the current rows loadable.
+
+        After a refresh that changed the document's shape, a restarted
+        catalog over the edited document loads every view instead of
+        re-evaluating it.
+        """
+        tree = build_tree({"a": [{"b": ["c"]}, "b"]})
+        views = [parse_pattern("a/b"), parse_pattern("a//c")]
+        with durable(log_path) as catalog:
+            catalog.register("doc", tree)
+            catalog.define_views("doc", views)
+            tree.root.new_child("b")
+            catalog.entry("doc").store.refresh("doc")
+        with durable(log_path) as catalog:
+            catalog.register("doc", tree)
+            catalog.define_views("doc", views)
+            stats = catalog.backend_stats()
+            assert stats["hits"] == len(views)
+            assert stats["saves"] == 0
+
+    def test_digest_follows_refresh(self, log_path):
+        """Regression: the catalog's digest went stale after a refresh.
+
+        ``document_digest``, ``counters()`` and the key ``advise``
+        persists its selection under all read the store's current
+        digest, so a restart over the edited document warm-starts.
+        """
+        docs, streams = small_fleet(count=1)
+        tree = docs["doc-0"]
+        with durable(log_path) as catalog:
+            catalog.register("doc-0", tree)
+            registered = catalog.document_digest("doc-0")
+            tree.root.new_child("b")
+            store = catalog.entry("doc-0").store
+            store.refresh("doc-0")
+            current = store.document_digest("doc-0")
+            assert current != registered
+            assert catalog.document_digest("doc-0") == current
+            assert catalog.counters()["doc-0"]["digest"] == current
+            catalog.advise(
+                "doc-0",
+                streams["doc-0"].templates,
+                weights=streams["doc-0"].template_weights(),
+                max_views=3,
+            )
+        with durable(log_path) as catalog:
+            (advice,) = advise_fleet(
+                catalog, {"doc-0": tree}, streams
+            ).values()
+            assert advice.warm
 
 
 # ----------------------------------------------------------------------
 # CatalogServer
 # ----------------------------------------------------------------------
 
-def fleet_spec(db_path, docs, streams, max_views=3) -> CatalogSpec:
+def fleet_spec(docs, streams, max_views=3) -> CatalogSpec:
     return CatalogSpec(
         documents=tuple(
             DocumentSpec.from_tree(
@@ -488,7 +262,6 @@ def fleet_spec(db_path, docs, streams, max_views=3) -> CatalogSpec:
             )
             for doc_id, tree in docs.items()
         ),
-        db_path=str(db_path),
         max_views=max_views,
     )
 
@@ -502,9 +275,9 @@ def interleaved(docs, streams, length):
 
 
 class TestCatalogServer:
-    def test_inline_matches_direct_catalog(self, db_path):
+    def test_inline_matches_direct_catalog(self):
         docs, streams = small_fleet()
-        spec = fleet_spec(db_path, docs, streams)
+        spec = fleet_spec(docs, streams)
         requests = interleaved(docs, streams, 15)
         with CatalogServer(spec, workers=0) as server:
             result = server.serve_requests(requests, batch_size=8)
@@ -522,32 +295,32 @@ class TestCatalogServer:
         finally:
             catalog.close()
 
-    def test_unknown_document_refused_before_any_work(self, db_path):
+    def test_unknown_document_refused_before_any_work(self):
         docs, streams = small_fleet(count=1)
-        spec = fleet_spec(db_path, docs, streams)
+        spec = fleet_spec(docs, streams)
         with CatalogServer(spec, workers=0) as server:
             with pytest.raises(UnknownDocumentError):
                 server.serve_requests([("ghost", "a/b")])
 
-    def test_closed_server_raises(self, db_path):
+    def test_closed_server_raises(self):
         docs, streams = small_fleet(count=1)
-        server = CatalogServer(fleet_spec(db_path, docs, streams), workers=0)
+        server = CatalogServer(fleet_spec(docs, streams), workers=0)
         server.close()
         server.close()  # idempotent
         with pytest.raises(CatalogError):
             server.serve_requests([("doc-0", "a")])
 
-    def test_pool_counters_raise_typed_error(self, db_path):
+    def test_pool_counters_raise_typed_error(self):
         docs, streams = small_fleet(count=1)
-        spec = fleet_spec(db_path, docs, streams)
+        spec = fleet_spec(docs, streams)
         # A pool server starts no worker until its first batch.
         with CatalogServer(spec, workers=1) as server:
             with pytest.raises(CatalogError):
                 server.counters()
 
-    def test_inline_counters_before_any_serve_are_fresh(self, db_path):
+    def test_inline_counters_before_any_serve_are_fresh(self):
         docs, streams = small_fleet()
-        spec = fleet_spec(db_path, docs, streams)
+        spec = fleet_spec(docs, streams)
         with CatalogServer(spec, workers=0) as server:
             counters = server.counters()
         catalog = build_catalog(spec)
@@ -559,7 +332,7 @@ class TestCatalogServer:
         for section in counters.values():
             assert not any(section["engine"].values())
 
-    def test_bad_spec_raises_at_first_inline_use(self, db_path):
+    def test_bad_spec_raises_at_first_inline_use(self):
         spec = CatalogSpec(
             documents=(
                 DocumentSpec(
@@ -569,17 +342,16 @@ class TestCatalogServer:
                     weights=(),
                 ),
             ),
-            db_path=str(db_path),
         )
         with CatalogServer(spec, workers=0) as server:
             with pytest.raises(ValueError):
                 server.serve_requests([("d", "a/b")])
 
     @pytest.mark.slow
-    def test_pool_parity_with_inline(self, db_path):
+    def test_pool_parity_with_inline(self):
         """Process-pool serving returns bit-identical answers to inline."""
         docs, streams = small_fleet(count=2, stream_len=30)
-        spec = fleet_spec(db_path, docs, streams)
+        spec = fleet_spec(docs, streams)
         requests = interleaved(docs, streams, 30)
         with CatalogServer(spec, workers=0) as inline:
             baseline = inline.serve_requests(requests, batch_size=16)
@@ -601,13 +373,13 @@ class TestCatalogReplay:
         batch_size=8,
     )
 
-    def test_counters_bit_identical_memory_cold_warm(self, db_path):
+    def test_counters_bit_identical_memory_cold_warm(self, log_path):
         memory = replay_catalog(CatalogReplayConfig(**self.CONFIG), seed=4)
         cold = replay_catalog(
-            CatalogReplayConfig(**self.CONFIG, db_path=db_path), seed=4
+            CatalogReplayConfig(**self.CONFIG, persist_path=log_path), seed=4
         )
         warm = replay_catalog(
-            CatalogReplayConfig(**self.CONFIG, db_path=db_path), seed=4
+            CatalogReplayConfig(**self.CONFIG, persist_path=log_path), seed=4
         )
         assert cold.counters() == memory.counters()
         assert warm.counters() == memory.counters()
@@ -636,7 +408,7 @@ class TestCatalogReplay:
 
 
 class TestSpecWeights:
-    def test_empty_weights_tuple_surfaces_mismatch(self, db_path):
+    def test_empty_weights_tuple_surfaces_mismatch(self):
         """weights=() is an explicit (wrong) value, not 'no weights'."""
         tree = build_tree({"a": ["b", "c"]})
         spec = CatalogSpec(
@@ -648,7 +420,6 @@ class TestSpecWeights:
                     weights=(),
                 ),
             ),
-            db_path=str(db_path),
         )
         with pytest.raises(ValueError):
             build_catalog(spec)
@@ -701,7 +472,7 @@ class TestExplicitViews:
                 catalog.register("doc", self._document())
                 assert catalog.entry("doc").engine.tractable_only is toggle
 
-    def test_spec_round_trips_explicit_views(self, db_path):
+    def test_spec_round_trips_explicit_views(self):
         tree = self._document()
         spec = CatalogSpec(
             documents=(
@@ -711,7 +482,6 @@ class TestExplicitViews:
                     views=[parse_pattern(x) for x in self.HALVES],
                 ),
             ),
-            db_path=str(db_path),
             tractable_only=False,
         )
         assert spec.documents[0].view_xpaths == self.HALVES
@@ -730,7 +500,7 @@ class TestExplicitViews:
     @pytest.mark.parametrize(
         "workers", [0, pytest.param(1, marks=pytest.mark.multicore)]
     )
-    def test_server_reports_intersection_plan_kinds(self, db_path, workers):
+    def test_server_reports_intersection_plan_kinds(self, workers):
         """The inline catalog and a pool worker both plan and serve the
         intersection, and its answer is ``P(t)``."""
         spec = CatalogSpec(
@@ -741,7 +511,6 @@ class TestExplicitViews:
                     views=[parse_pattern(x) for x in self.HALVES],
                 ),
             ),
-            db_path=str(db_path),
             tractable_only=False,
         )
         query = parse_pattern(self.QUERY)

@@ -3,21 +3,24 @@
 Every fault here is *scripted* — keyed to an exact call index through
 :class:`~repro.faults.ScriptedFaultPolicy` — so each test drives one
 rung of the serving tier's failure ladder (crash → retry-once →
-degrade; I/O error → miss; hang → bounded timeout) with bit-reproducible
-counters.  No killed processes, no real disk errors, no sleeps; the
-handful of tests that need real worker processes carry the
-``multicore`` marker.
+degrade; hang → bounded timeout) with bit-reproducible counters.  Disk
+errors come from a stub log file handle whose writes fail (a refused
+append is counted, nothing is persisted, the store re-evaluates).  No
+killed processes, no real disk errors, no sleeps; the handful of tests
+that need real worker processes carry the ``multicore`` marker.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import errno
 import multiprocessing
 import os
 import signal
-import sqlite3
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,6 @@ from repro.catalog import (
     DocumentSpec,
     ReplicaSet,
 )
-from repro.catalog.sqlite_backend import SqliteBackend
 from repro.errors import (
     CatalogError,
     RequestTimeout,
@@ -46,8 +48,10 @@ from repro.patterns.parse import parse_pattern
 from repro.patterns.serialize import to_xpath
 from repro import shardpool
 from repro.shardpool import ShardPool
+from repro.views.persist import SnapshotBackend
 from repro.workloads.streams import StreamConfig, sample_stream
 from repro.xmltree.generate import random_tree
+from repro.xmltree.parse import parse_xml
 
 from .oracle import direct_answers, direct_request_answers
 
@@ -121,15 +125,6 @@ class TestScriptedFaultPolicy:
         assert policy.on_submit(7) is None
         assert policy.submit_calls == 3
         assert policy.injected == [("submit[7]", crash)]
-
-    def test_backend_keyed_per_operation(self):
-        fault = FaultAction("error", exc=sqlite3.OperationalError("io"))
-        policy = ScriptedFaultPolicy(backend={("load", 1): fault})
-        assert policy.on_backend("save") is None
-        assert policy.on_backend("load") is None  # load index 0
-        assert policy.on_backend("load") is fault  # load index 1
-        assert policy.backend_calls == {"save": 1, "load": 2}
-        assert policy.injected == [("backend.load", fault)]
 
     def test_delay_advances_the_clock(self):
         clock = VirtualClock()
@@ -356,103 +351,161 @@ class TestInlineLadder:
 
 
 # ----------------------------------------------------------------------
-# SQLite I/O-error degradation
+# Snapshot-log I/O-error degradation
 # ----------------------------------------------------------------------
 
-IO_ERROR = sqlite3.OperationalError("disk I/O error (injected)")
+def injected_io_error(*args, **kwargs):
+    raise OSError(errno.EIO, "disk I/O error (injected)")
+
+
+class RefusingLog:
+    """A log file handle on a disk that refuses every write."""
+
+    closed = False
+    write = staticmethod(injected_io_error)
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+@contextlib.contextmanager
+def refused_appends(backend: SnapshotBackend):
+    """Every append to ``backend``'s log fails while the block runs."""
+    real, backend._fh = backend._fh, RefusingLog()
+    try:
+        yield backend
+    finally:
+        backend._fh = real
 
 
 class TestBackendFaults:
-    def test_failing_load_degrades_to_miss(self, tmp_path):
-        policy = ScriptedFaultPolicy(
-            backend={("load", 1): FaultAction("error", exc=IO_ERROR)}
-        )
-        with SqliteBackend(
-            tmp_path / "cat.db", fault_policy=policy
-        ) as backend:
+    def test_failing_load_degrades_to_miss(self, tmp_path, monkeypatch):
+        """A log that cannot be read opens empty: every load misses."""
+        path = tmp_path / "cat.log"
+        with SnapshotBackend(path) as backend:
             backend.save("d", "p", [2, 1])
-            assert backend.load("d", "p") == [1, 2]  # load 0: healthy
-            assert backend.load("d", "p") is None  # load 1: faulted
-            assert backend.load("d", "p") == [1, 2]  # load 2: healthy
-            assert backend.stats.io_errors == 1
-            assert backend.stats.misses == 1
-            assert backend.stats.hits == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_text", injected_io_error)
+            with SnapshotBackend(path) as backend:
+                assert backend.load("d", "p") is None
+                assert backend.stats.misses == 1
+                assert backend.stats.hits == 0
+        # The failed read deleted nothing.
+        with SnapshotBackend(path) as backend:
+            assert backend.load("d", "p") == [1, 2]
 
     def test_failing_save_loses_durability_not_availability(self, tmp_path):
-        policy = ScriptedFaultPolicy(
-            backend={("save", 0): FaultAction("error", exc=IO_ERROR)}
-        )
-        with SqliteBackend(
-            tmp_path / "cat.db", fault_policy=policy
-        ) as backend:
-            backend.save("d", "p", [5])  # faulted: swallowed, counted
+        path = tmp_path / "cat.log"
+        with SnapshotBackend(path) as backend:
+            with refused_appends(backend):
+                backend.save("d", "p", [5])  # refused: counted, not kept
             assert backend.stats.io_errors == 1
             assert backend.stats.saves == 0
-            assert backend.load("d", "p") is None  # nothing persisted
+            assert backend.last_seqno == 0
+            assert backend.load("d", "p") is None  # the store re-evaluates
             backend.save("d", "p", [5])  # healthy retry persists
             assert backend.stats.saves == 1
             assert backend.load("d", "p") == [5]
+        with SnapshotBackend(path) as reopened:
+            assert reopened.load("d", "p") == [5]
+            assert reopened.last_seqno == 1
+
+    def test_refused_appends_keep_memory_equal_to_the_log(self, tmp_path):
+        """A refused put, selection or invalidate changes nothing, and
+        the next healthy append takes the next seqno, so the log still
+        ships cleanly."""
+        path = tmp_path / "cat.log"
+        with SnapshotBackend(path) as backend:
+            backend.save("d", "p", [1])
+            backend.save_selection("d", "fp", {"views": []})
+            with refused_appends(backend):
+                backend.save("d", "q", [2])
+                backend.save_selection("d", "fp2", {"views": []})
+                backend.invalidate_document("d")
+            assert backend.stats.io_errors == 3
+            assert backend.stats.invalidations == 0
+            assert backend.last_seqno == 2
+            backend.save("e", "p", [3])
+            state = (
+                backend.load("d", "p"),
+                backend.load("d", "q"),
+                backend.load_selection("d", "fp"),
+                backend.load_selection("d", "fp2"),
+                backend.load("e", "p"),
+            )
+            assert state == ([1], None, {"views": []}, None, [3])
+            tail = backend.read_since(0)
+        assert [record["seq"] for record in tail.records] == [1, 2, 3]
+        with SnapshotBackend(path) as reopened:
+            assert state == (
+                reopened.load("d", "p"),
+                reopened.load("d", "q"),
+                reopened.load_selection("d", "fp"),
+                reopened.load_selection("d", "fp2"),
+                reopened.load("e", "p"),
+            )
+        with SnapshotBackend(tmp_path / "replica.log") as replica:
+            assert replica.apply_records(tail.records).clean
 
     def test_failing_selection_ops_degrade(self, tmp_path):
-        policy = ScriptedFaultPolicy(
-            backend={
-                ("save_selection", 0): FaultAction("error", exc=IO_ERROR),
-                ("load_selection", 0): FaultAction("error", exc=IO_ERROR),
-            }
-        )
-        with SqliteBackend(
-            tmp_path / "cat.db", fault_policy=policy
-        ) as backend:
-            backend.save_selection("d", "fp", {"format": 1, "views": []})
+        with SnapshotBackend(tmp_path / "cat.log") as backend:
+            with refused_appends(backend):
+                backend.save_selection("d", "fp", {"format": 1, "views": []})
             assert backend.load_selection("d", "fp") is None
-            assert backend.stats.io_errors == 2
+            assert backend.stats.io_errors == 1
             assert backend.stats.selection_saves == 0
             assert backend.stats.selection_misses == 1
 
-    def test_catalog_requires_db_for_backend_faults(self):
-        with pytest.raises(CatalogError):
-            Catalog(fault_policy=ScriptedFaultPolicy())
-
     def test_catalog_serves_through_backend_faults(self, fleet, tmp_path):
-        """End to end: every load and save fails, answers still match."""
+        """End to end: every append fails, answers still match."""
         spec, probes = fleet
         expected = direct_answers(spec, "doc-0", probes["doc-0"])
         assert any(expected)
-
-        policy = ScriptedFaultPolicy(
-            backend={
-                ("load", index): FaultAction("error", exc=IO_ERROR)
-                for index in range(200)
-            }
-            | {
-                ("save", index): FaultAction("error", exc=IO_ERROR)
-                for index in range(200)
-            }
-        )
-        catalog = Catalog(
-            db_path=tmp_path / "cat.db", fault_policy=policy
-        )
-        try:
-            for doc in spec.documents:
-                from repro.xmltree.parse import parse_xml
-
-                catalog.register(doc.doc_id, parse_xml(doc.xml))
-                catalog.advise(
-                    doc.doc_id,
-                    [parse_pattern(x) for x in doc.workload_xpaths],
-                    weights=list(doc.weights),
-                    max_views=spec.max_views,
-                )
-            answers = [
-                catalog.node_ids(
-                    "doc-0", catalog.answer("doc-0", parse_pattern(xpath))
-                )
-                for xpath in probes["doc-0"]
-            ]
+        path = tmp_path / "cat.log"
+        with Catalog(backend=SnapshotBackend(path)) as catalog:
+            with refused_appends(catalog.backend):
+                for doc in spec.documents:
+                    catalog.register(doc.doc_id, parse_xml(doc.xml))
+                    catalog.advise(
+                        doc.doc_id,
+                        [parse_pattern(x) for x in doc.workload_xpaths],
+                        weights=list(doc.weights),
+                        max_views=spec.max_views,
+                    )
+                answers = [
+                    catalog.node_ids(
+                        "doc-0", catalog.answer("doc-0", parse_pattern(xpath))
+                    )
+                    for xpath in probes["doc-0"]
+                ]
             assert answers == expected
-            assert catalog.backend_stats()["io_errors"] > 0
-        finally:
-            catalog.close()
+            stats = catalog.backend_stats()
+            assert stats["io_errors"] > 0
+            assert stats["saves"] == stats["selection_saves"] == 0
+        assert path.read_text() == ""  # nothing persisted
+
+    def test_replicas_evaluate_a_view_the_writer_could_not_log(
+        self, fleet, tmp_path
+    ):
+        """No record ships for a refused append: each replica evaluates
+        the view itself, and every answer is still ``P(t)``."""
+        spec, probes = fleet
+        view = "*//b"
+        xpaths = probes["doc-0"] + [view]
+        with ReplicaSet(spec, replicas=2, root=tmp_path / "set") as rs:
+            with refused_appends(rs.writer.backend):
+                rs.define_views("doc-0", [parse_pattern(view)])
+            assert rs.writer.backend.stats.io_errors == 1
+            assert rs.stats.records_shipped == 0
+            for replica in rs.replicas():
+                assert replica.backend.stats.saves == 1  # evaluated
+            answers = rs.execute("doc-0", xpaths)
+            assert rs.stats.replica_answers == len(xpaths)
+        assert answers.answers == direct_answers(spec, "doc-0", xpaths)
+        assert "view" in answers.kinds
 
 
 # ----------------------------------------------------------------------

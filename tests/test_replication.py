@@ -83,16 +83,6 @@ class TestBootstrap:
                 assert ids == direct_answers(spec, doc_id, pool)
             assert rs.stats.replica_answers == DOCUMENTS * QUERY_POOL
 
-    def test_db_path_spec_rejected(self, fleet, tmp_path):
-        spec, _ = fleet
-        specced = CatalogSpec(
-            documents=spec.documents,
-            max_views=spec.max_views,
-            db_path=tmp_path / "catalog.db",
-        )
-        with pytest.raises(CatalogError):
-            ReplicaSet(specced, root=tmp_path / "set")
-
     def test_needs_at_least_one_replica(self, fleet, tmp_path):
         spec, _ = fleet
         with pytest.raises(CatalogError):
