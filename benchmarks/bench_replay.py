@@ -38,9 +38,9 @@ future PRs can diff against this PR's baseline:
   throughput.
 
 * **Tracing overhead**: the smaller replay scenario with a
-  :class:`~repro.obs.Tracer` + :class:`~repro.obs.MetricsRegistry`
-  installed (one root span per query, registry publishing at replay
-  end) against the same replay with observability off.  Each arm runs
+  :class:`~repro.obs.Tracer` installed (one root span per replayed
+  query, with the engine's and containment's spans under it) against
+  the same replay with tracing off.  Each arm runs
   after a full ``gc.collect()`` and is timed in process CPU time;
   rounds alternate which arm runs first, and the record holds the
   median per-round ratio of 30 rounds with its range.  The committed
@@ -74,12 +74,7 @@ from repro.core.containment import (
     set_branch_prune_enabled,
     set_engine_cache_limit,
 )
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    install_registry,
-    install_tracer,
-)
+from repro.obs import Tracer, install_tracer
 from repro.patterns.random import PatternConfig
 from repro.views.advisor import advise_views
 from repro.views.persist import SnapshotBackend
@@ -357,7 +352,7 @@ def measure_batched() -> dict:
 
 
 def measure_tracing_overhead() -> dict:
-    """Instrumented vs plain replay: what does observability cost?
+    """Traced vs plain replay: what does span tracing cost?
 
     The replay is short (~0.2s), so one garbage collection more or
     less in an arm moves its time by more than the ceiling allows.
@@ -374,18 +369,16 @@ def measure_tracing_overhead() -> dict:
 
     def run_once(traced: bool) -> tuple[float, int]:
         tracer = Tracer()
-        previous_tracer = previous_registry = None
+        previous = None
         gc.collect()
         if traced:
-            previous_tracer = install_tracer(tracer)
-            previous_registry = install_registry(MetricsRegistry())
+            previous = install_tracer(tracer)
         t0 = time.process_time()
         try:
             replay_workload(config, seed=REPLAY_SEED)
         finally:
             if traced:
-                install_tracer(previous_tracer)
-                install_registry(previous_registry)
+                install_tracer(previous)
         return time.process_time() - t0, len(tracer.records())
 
     run_once(False)  # warmup, untimed

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 from ..core.rewrite import RewriteSolver
 from ..errors import CatalogError, UnknownDocumentError
-from ..obs import current_registry, span
+from ..obs import span
 from ..patterns.ast import Pattern
 from ..patterns.parse import parse_pattern
 from ..views.advisor import (
@@ -439,17 +439,10 @@ class Catalog:
         }
 
     def backend_stats(self) -> dict[str, int]:
-        """The shared backend's counters plus its ``durable`` flag.
-
-        Also the backend tier's registry publish point: each call
-        mirrors the snapshot (``io_errors`` included) into the
-        installed :class:`~repro.obs.MetricsRegistry`, if any.
-        """
+        """The shared backend's counters (``io_errors`` included) plus
+        its ``durable`` flag, as a fresh dict."""
         stats = dict(self.backend.stats.snapshot())
         stats["durable"] = int(self.backend.durable)
-        registry = current_registry()
-        if registry is not None:
-            registry.publish("backend", stats)
         return stats
 
     def close(self) -> None:

@@ -107,6 +107,20 @@ class ReplicationStats(StatsBase):
     rejoins: int = 0
 
 
+class _ShippedLog(SnapshotBackend):
+    """A replica's shipped copy of the writer's log.
+
+    It holds only the writer's records, under the writer's seqnos: only
+    :meth:`apply_records` writes to it.  The replica's own saves (say,
+    of a view whose record the writer's log refused) are not appended
+    and not counted as I/O errors; the replica's store keeps what it
+    evaluated in memory.
+    """
+
+    def _append(self, record: dict) -> bool:
+        return False
+
+
 @dataclass
 class Replica:
     """One read replica: a shipped log copy and the catalog over it.
@@ -230,7 +244,7 @@ class ReplicaSet:
         """
         path = self._replica_path(index)
         path.write_bytes(self._writer_path.read_bytes())
-        backend = SnapshotBackend(path)
+        backend = _ShippedLog(path)
         selection_hits_before = backend.stats.selection_hits
         catalog = build_catalog(self.spec, backend=backend)
         return Replica(
@@ -300,7 +314,7 @@ class ReplicaSet:
         replica.catalog.close()  # closes the replica backend too
         path = self._replica_path(replica.index)
         path.write_bytes(self._writer_path.read_bytes())
-        replica.backend = SnapshotBackend(path)
+        replica.backend = _ShippedLog(path)
         replica.catalog = build_catalog(self.spec, backend=replica.backend)
         self.stats.reships += 1
         return max(0, replica.applied_seqno - before)

@@ -63,7 +63,7 @@ from ..errors import (
     ShardCrashError,
 )
 from ..faults import raise_injected
-from ..obs import adopt, current_registry, current_tracer, span
+from ..obs import adopt, current_tracer
 from ..obs.tracing import OpenSpan
 from ..patterns.ast import Pattern
 from ..patterns.serialize import to_xpath
@@ -157,6 +157,25 @@ def _finish_request_span(open_span: OpenSpan, future: asyncio.Future) -> None:
         open_span.close(outcome="shed")
     else:
         open_span.close(outcome="failed", error=type(exc).__name__)
+
+
+def _batch_span(doc_id: str, requests: list[_Request]):
+    """The batch's one ``serve.batch`` span, under its first member's
+    admission root; ``links`` lists the other members' roots.
+
+    With no root on the first member (no tracer was installed at its
+    admission) the batch records nothing and builds nothing.
+    """
+    head = requests[0].span
+    if head is None:
+        return adopt(None, "serve.batch")
+    return adopt(
+        head,
+        "serve.batch",
+        doc_id=doc_id,
+        size=len(requests),
+        links=[req.span.span_id for req in requests[1:] if req.span],
+    )
 
 
 def _awaitable(future: Future) -> asyncio.Future:
@@ -267,16 +286,6 @@ class AsyncFrontEnd:
             return
         self._closed = True
         await self._idle.wait()
-        registry = current_registry()
-        if registry is not None:
-            # Lifetime stats feed the registry exactly once, at drain —
-            # the snapshots themselves stay the bit-identical source of
-            # truth; the registry is the exportable view.
-            registry.publish("serve", self.stats.snapshot())
-            if self._replicas is not None:
-                registry.publish(
-                    "replication", self._replicas.stats_snapshot()
-                )
 
     async def drain(self) -> None:
         """Wait until nothing is queued or in flight (without closing)."""
@@ -435,11 +444,7 @@ class AsyncFrontEnd:
             self._inflight[task] = live
             task.add_done_callback(self._on_dispatch_done)
         elif live:
-            # The batch adopts its members' admission roots as the open
-            # parents: its spans fan out into every member's trace.
-            with adopt([req.span for req in live]), span(
-                "serve.batch", doc_id=doc_id, size=len(live)
-            ) as scope:
+            with _batch_span(doc_id, live) as scope:
                 try:
                     outcome = self._serve_in_process(
                         doc_id, [req.xpath for req in live], scope
@@ -464,9 +469,7 @@ class AsyncFrontEnd:
     async def _dispatch_pooled(
         self, doc_id: str, requests: list[_Request]
     ) -> None:
-        with adopt([req.span for req in requests]), span(
-            "serve.batch", doc_id=doc_id, size=len(requests)
-        ) as scope:
+        with _batch_span(doc_id, requests) as scope:
             try:
                 outcome = await self._serve_pooled(
                     doc_id, [req.xpath for req in requests], scope

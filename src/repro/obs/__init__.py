@@ -1,33 +1,25 @@
-"""Unified observability layer (PR 10): metrics + deterministic tracing.
+"""Observability (PR 10): stats snapshots and deterministic spans.
 
-Two independent seams, both process-global and both defaulting to off:
+Two records explain where a read's time goes:
 
-* :func:`install_tracer` / :func:`current_tracer` — structured span
-  tracing.  Trees start at :func:`root` (replay entry points) or
-  :meth:`Tracer.start_root` (front-end admission); :func:`span` opens
-  children under whatever parents are currently in scope and is a no-op
-  otherwise, so instrumented code costs one global check when tracing
-  is off.
-* :func:`install_registry` / :func:`current_registry` — the
-  :class:`MetricsRegistry` of counters, gauges and fixed-bucket latency
-  histograms, fed by publishing the existing per-layer stats snapshots
-  (which stay bit-identical) plus live histogram observations from the
-  replay harness.
+* **Stats snapshots** — each layer's own counters
+  (``ContainmentStats``, ``EngineStats``, ``ServeStats``,
+  ``ReplicationStats``, ``BackendStats``), read as plain
+  ``snapshot()``/``counters()`` dicts; the flat ones share
+  :class:`~repro.obs.metrics.StatsBase`.
+* **Spans** — :func:`install_tracer` / :func:`current_tracer` install
+  structured span tracing, off by default.  Trees start at :func:`root`
+  (replay entry points) or :meth:`Tracer.start_root` (front-end
+  admission); :func:`span` opens one child under the span currently in
+  scope and is a no-op otherwise, so instrumented code costs one global
+  check when tracing is off.  A batch's span opens once, under one
+  member's root (:func:`adopt`), and links the others.
 
-Exporters in :mod:`repro.obs.export` (Prometheus text, JSONL traces)
-and the ``tools/trace_report.py`` CLI turn the collected data into the
-per-layer time breakdowns the ROADMAP's latency claims call for.
+:func:`export_traces_jsonl` writes the spans as JSONL, and the
+``tools/trace_report.py`` CLI turns that export into per-layer time
+breakdowns.
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    install_registry,
-)
 from .tracing import (
     OpenSpan,
     SpanRecord,
@@ -40,19 +32,11 @@ from .tracing import (
 )
 from .export import (
     export_traces_jsonl,
-    render_prometheus,
     trace_lines,
     trace_structure,
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "current_registry",
-    "install_registry",
     "OpenSpan",
     "SpanRecord",
     "Tracer",
@@ -62,7 +46,6 @@ __all__ = [
     "root",
     "span",
     "export_traces_jsonl",
-    "render_prometheus",
     "trace_lines",
     "trace_structure",
 ]

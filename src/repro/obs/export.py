@@ -1,9 +1,9 @@
-"""Exporters: Prometheus text exposition + JSONL trace export.
+"""JSONL trace export.
 
-Both formats are deterministic for deterministic inputs: metric lines
-sort by name, JSON payloads serialize with sorted keys and no float
-formatting games — so exported artifacts diff cleanly between runs and
-tests can compare them byte-for-byte.
+The format is deterministic for deterministic inputs: payloads
+serialize with sorted keys and no float formatting games — so exported
+traces diff cleanly between runs and tests can compare them
+byte-for-byte.  ``tools/trace_report.py`` reads the export.
 """
 
 from __future__ import annotations
@@ -12,48 +12,13 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .metrics import MetricsRegistry
 from .tracing import SpanRecord, Tracer
 
 __all__ = [
-    "render_prometheus",
     "trace_lines",
     "export_traces_jsonl",
     "trace_structure",
 ]
-
-
-def _exposition_name(name: str) -> str:
-    """Dotted registry names → Prometheus-safe snake_case."""
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition (``# TYPE`` lines + samples)."""
-    lines: list[str] = []
-    for name, metric in sorted(registry.metrics()):
-        exposed = _exposition_name(name)
-        lines.append(f"# TYPE {exposed} {metric.kind}")
-        if metric.kind == "histogram":
-            running = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                running += count
-                lines.append(
-                    f'{exposed}_bucket{{le="{_format_value(bound)}"}} '
-                    f"{running}"
-                )
-            lines.append(f'{exposed}_bucket{{le="+Inf"}} {metric.count}')
-            lines.append(f"{exposed}_sum {_format_value(metric.total)}")
-            lines.append(f"{exposed}_count {metric.count}")
-        else:
-            lines.append(f"{exposed} {_format_value(metric.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _iter_records(

@@ -13,22 +13,24 @@ Design constraints, in priority order:
    replay runs produce byte-identical trace *structure* (everything
    except the ``start``/``end`` floats — and even those match under a
    virtual clock).
-3. **Batched execution fans out.**  The async front end serves many
-   admitted requests with one batch dispatch.  A scope opened via
-   :func:`span` creates one child per *open parent*, so batch-level
-   work is recorded into every member request's trace and each trace
-   stays a self-contained well-nested tree.
+3. **Each span is recorded once, under one parent.**  The async front
+   end serves many admitted requests with one batch dispatch.  The
+   batch's span opens once, under its first member's admission root
+   (:func:`adopt`), and its ``links`` attribute lists the other
+   members' root span ids — span links, as OpenTelemetry defines them.
+   So batch-level work is counted once, and every request still owns
+   one well-nested tree.
 
 Well-nestedness is assertable without clocks: a parent's ``open_seq``
 precedes its children's, and every child's ``close_seq`` precedes its
 parent's (``tests/test_obs.py`` leans on exactly that).
 
-The context seam is a :mod:`contextvars` variable holding the tuple of
-currently-open parent spans, so spans propagate through ``await``
-boundaries within a task for free.  :func:`span` records **only when a
-parent is open** — trees start exclusively at :func:`root` (replay
-entry points) or :meth:`Tracer.start_root` (front-end admission), which
-is what bounds span volume and keeps un-traced baselines silent.
+The context seam is a :mod:`contextvars` variable holding the one
+currently-open span, so spans propagate through ``await`` boundaries
+within a task for free.  :func:`span` records **only when a parent is
+open** — trees start exclusively at :func:`root` (replay entry points)
+or :meth:`Tracer.start_root` (front-end admission), which is what
+bounds span volume and keeps un-traced baselines silent.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 __all__ = [
     "SpanRecord",
@@ -53,8 +54,7 @@ __all__ = [
 Clock = Callable[[], float]
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One closed span.  ``structure()`` drops the two timing floats —
     what remains is the deterministic skeleton tests compare."""
 
@@ -133,7 +133,7 @@ class OpenSpan:
     def close(self, **attrs: Any) -> None:
         if attrs:
             self.attrs.update(attrs)
-        self._tracer._close((self,))
+        self._tracer._close(self)
 
 
 class Tracer:
@@ -160,7 +160,15 @@ class Tracer:
         """Open a new trace with its root span; the caller closes it."""
         with self._lock:
             self._traces += 1
-            return self._open_locked(name, self._traces, None, dict(attrs))
+            return self._open_locked(name, self._traces, None, attrs)
+
+    def _open_child(
+        self, name: str, parent: OpenSpan, attrs: dict
+    ) -> OpenSpan:
+        with self._lock:
+            return self._open_locked(
+                name, parent.trace_id, parent.span_id, attrs
+            )
 
     def _open_locked(
         self, name: str, trace_id: int, parent_id: Optional[int], attrs: dict
@@ -178,35 +186,23 @@ class Tracer:
             attrs,
         )
 
-    def _open_children(
-        self, name: str, parents: Tuple[OpenSpan, ...], attrs: dict
-    ) -> Tuple[OpenSpan, ...]:
-        with self._lock:
-            return tuple(
-                self._open_locked(
-                    name, parent.trace_id, parent.span_id, dict(attrs)
-                )
-                for parent in parents
-            )
-
-    def _close(self, spans: Iterable[OpenSpan]) -> None:
+    def _close(self, open_span: OpenSpan) -> None:
         with self._lock:
             end = self._clock()
-            for open_span in spans:
-                self._events += 1
-                self._records.append(
-                    SpanRecord(
-                        trace_id=open_span.trace_id,
-                        span_id=open_span.span_id,
-                        parent_id=open_span.parent_id,
-                        name=open_span.name,
-                        start=open_span.start,
-                        end=end,
-                        open_seq=open_span.open_seq,
-                        close_seq=self._events,
-                        attrs=open_span.attrs,
-                    )
+            self._events += 1
+            self._records.append(
+                SpanRecord(
+                    open_span.trace_id,
+                    open_span.span_id,
+                    open_span.parent_id,
+                    open_span.name,
+                    open_span.start,
+                    end,
+                    open_span.open_seq,
+                    self._events,
+                    open_span.attrs,
                 )
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,24 +212,14 @@ class Tracer:
         with self._lock:
             return tuple(self._records)
 
-    def structure(self) -> list[dict]:
-        """The timing-free skeleton of every closed span."""
-        return [record.structure() for record in self.records()]
-
-    def clear(self) -> None:
-        """Drop collected records (counters keep running — ids stay
-        unique for the tracer's lifetime)."""
-        with self._lock:
-            self._records.clear()
-
 
 # ----------------------------------------------------------------------
-# Module seam: the installed tracer + the open-parents context
+# Module seam: the installed tracer + the open-parent context
 # ----------------------------------------------------------------------
 
 _ACTIVE: Optional[Tracer] = None
-_CONTEXT: ContextVar[Tuple[OpenSpan, ...]] = ContextVar(
-    "repro_obs_parents", default=()
+_CONTEXT: ContextVar[Optional[OpenSpan]] = ContextVar(
+    "repro_obs_parent", default=None
 )
 
 
@@ -269,113 +255,61 @@ _NOOP = _NoopScope()
 
 
 class _SpanScope:
-    """Child scope: one child per open parent (batch fan-out)."""
+    """One span, opened under its parent and the open span until exit.
 
-    __slots__ = ("_name", "_attrs", "_tracer", "_children", "_token")
+    The parent is the one given (:func:`adopt`) or, failing that, the
+    span open in the current context; with neither, nothing records.
+    """
 
-    def __init__(self, name: str, attrs: dict) -> None:
+    __slots__ = ("_name", "_attrs", "_parent", "_span", "_token")
+
+    def __init__(
+        self, name: str, attrs: dict, parent: Optional[OpenSpan] = None
+    ) -> None:
         self._name = name
         self._attrs = attrs
-        self._tracer: Optional[Tracer] = None
-        self._children: Tuple[OpenSpan, ...] = ()
-        self._token = None
-
-    def __enter__(self) -> "_SpanScope":
-        tracer = _ACTIVE
-        if tracer is None:
-            return self
-        parents = _CONTEXT.get()
-        if not parents:
-            return self
-        self._tracer = tracer
-        self._children = tracer._open_children(
-            self._name, parents, self._attrs
-        )
-        self._token = _CONTEXT.set(self._children)
-        return self
-
-    def set(self, **attrs: Any) -> "_SpanScope":
-        for child in self._children:
-            child.attrs.update(attrs)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._token is not None:
-            _CONTEXT.reset(self._token)
-            self._token = None
-        if self._children:
-            assert self._tracer is not None
-            self._tracer._close(self._children)
-            self._children = ()
-        return False
-
-
-class _RootScope:
-    """Root scope: starts a fresh trace regardless of open parents."""
-
-    __slots__ = ("_name", "_attrs", "_tracer", "_span", "_token")
-
-    def __init__(self, name: str, attrs: dict) -> None:
-        self._name = name
-        self._attrs = attrs
-        self._tracer: Optional[Tracer] = None
+        self._parent = parent
         self._span: Optional[OpenSpan] = None
         self._token = None
 
-    def __enter__(self) -> "_RootScope":
-        tracer = _ACTIVE
-        if tracer is None:
-            return self
-        self._tracer = tracer
-        self._span = tracer.start_root(self._name, **self._attrs)
-        self._token = _CONTEXT.set((self._span,))
+    def __enter__(self) -> "_SpanScope":
+        parent = self._parent or _CONTEXT.get()
+        if parent is not None:
+            self._span = parent._tracer._open_child(
+                self._name, parent, self._attrs
+            )
+            self._token = _CONTEXT.set(self._span)
         return self
 
-    def set(self, **attrs: Any) -> "_RootScope":
+    def set(self, **attrs: Any) -> "_SpanScope":
         if self._span is not None:
             self._span.attrs.update(attrs)
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        if self._token is not None:
-            _CONTEXT.reset(self._token)
-            self._token = None
         if self._span is not None:
-            assert self._tracer is not None
-            self._tracer._close((self._span,))
-            self._span = None
-        return False
-
-
-class _AdoptScope:
-    """Make the given already-open spans the current parents.
-
-    The async front end's dispatch path uses this: a dispatched batch
-    adopts its member requests' root spans (opened at admission), so
-    every span recorded during the batch lands in each member's tree.
-    """
-
-    __slots__ = ("_spans", "_token")
-
-    def __init__(self, spans: Iterable[Optional[OpenSpan]]) -> None:
-        self._spans = tuple(s for s in spans if s is not None)
-        self._token = None
-
-    def __enter__(self) -> "_AdoptScope":
-        if self._spans:
-            self._token = _CONTEXT.set(self._spans)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._token is not None:
             _CONTEXT.reset(self._token)
-            self._token = None
+            self._span.close()
+            self._span = self._token = None
         return False
+
+
+class _RootScope(_SpanScope):
+    """Root scope: starts a fresh trace whatever span is open."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_RootScope":
+        tracer = _ACTIVE
+        if tracer is not None:
+            self._span = tracer.start_root(self._name, **self._attrs)
+            self._token = _CONTEXT.set(self._span)
+        return self
 
 
 def span(name: str, **attrs: Any):
-    """A child scope under every open parent; records nothing when no
-    tracer is installed *or* no parent is open (trees start at
+    """A child scope under the open span; records nothing when no
+    tracer is installed *or* no span is open (trees start at
     :func:`root` / :meth:`Tracer.start_root` only)."""
     if _ACTIVE is None:
         return _NOOP
@@ -389,9 +323,13 @@ def root(name: str, **attrs: Any):
     return _RootScope(name, attrs)
 
 
-def adopt(spans: Iterable[Optional[OpenSpan]]):
-    """A scope installing ``spans`` as the open parents (``None``
-    entries are skipped; empty means no-op)."""
-    if _ACTIVE is None:
+def adopt(parent: Optional[OpenSpan], name: str, **attrs: Any):
+    """A child scope of ``parent``, an already-open span, whatever span
+    is open in the current context; with ``None``, a no-op.
+
+    The async front end's dispatch path uses this: a batch's span opens
+    under its first member's admission root, which the batch adopts.
+    """
+    if parent is None:
         return _NOOP
-    return _AdoptScope(spans)
+    return _SpanScope(name, attrs, parent)

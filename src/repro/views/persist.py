@@ -129,9 +129,10 @@ class BackendStats(StatsBase):
     rename stays atomic) but a crash-durability window the operator
     should be able to see instead of it vanishing into a bare ``pass``.
     ``io_errors`` counts appends the snapshot log's file refused (an
-    ``OSError``): the record is skipped and serving proceeds —
-    durability is what was lost, and this counter is how an operator
-    notices.
+    ``OSError``), a log that could not be read on open, and the appends
+    and compactions a backend with such a log refuses: the record is
+    skipped and serving proceeds — durability is what was lost, and
+    this counter is how an operator notices.
     """
 
     hits: int = 0
@@ -409,7 +410,10 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
     the file refuses loses durability, never availability: it is
     counted in ``stats.io_errors`` and changes nothing else, so the
     in-memory map always equals what replaying the log gives (a save
-    that failed is a later miss, and the store re-evaluates).
+    that failed is a later miss, and the store re-evaluates).  A log
+    that exists but cannot be read on open counts one ``io_errors``
+    and opens empty; that backend then refuses every append and
+    :meth:`compact`, so the records it never saw stay in the file.
 
     Replication (PR 9): every appended record carries a monotone
     sequence number ``seq`` (covered by the checksum), so the log
@@ -442,13 +446,18 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
         self._last_seqno = 0
         self._entry_seqs: dict[tuple[str, str], int] = {}
         self._selection_seqs: dict[tuple[str, str], int] = {}
+        # Set when the log exists but could not be read.  Appending
+        # after records never replayed would reuse their seqnos, and a
+        # compaction would drop them, so such a backend leaves the file
+        # as it is.
+        self._unread = False
         self._replay_log()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         # A torn tail write may have left the file without a final
         # newline; appending straight after it would corrupt the first
         # new record too.  Start appends on a fresh line instead.
-        if self.path.stat().st_size > 0:
+        if not self._unread and self.path.stat().st_size > 0:
             with open(self.path, "rb") as probe:
                 probe.seek(-1, os.SEEK_END)
                 if probe.read(1) != b"\n":
@@ -469,7 +478,8 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
                 encoding="utf-8", errors="replace"
             ).splitlines()
         except OSError:
-            self.stats.corrupt_records += 1
+            self.stats.io_errors += 1
+            self._unread = True
             return
         for line in lines:
             if not line.strip():
@@ -517,12 +527,16 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
     def _append(self, record: dict) -> bool:
         """Append ``record`` under the next seqno; False if the file refused.
 
-        A refused append (an ``OSError``) is counted in
-        ``stats.io_errors`` and takes no seqno; callers then leave their
-        in-memory state as it was.  Whatever the disk kept of the line
-        is validated like any other on the next open: a torn record
-        fails its checksum and is skipped.
+        A refused append (an ``OSError``, or a log that could not be
+        read on open) is counted in ``stats.io_errors`` and takes no
+        seqno; callers then leave their in-memory state as it was.
+        Whatever the disk kept of the line is validated like any other
+        on the next open: a torn record fails its checksum and is
+        skipped.
         """
+        if self._unread:
+            self.stats.io_errors += 1
+            return False
         record["seq"] = self._last_seqno + 1
         record["v"] = FORMAT_VERSION
         record["sum"] = _record_checksum(record)
@@ -610,7 +624,13 @@ class SnapshotBackend(_RejectLoadedMixin, _SelectionMapMixin):
         fsynced after the rename — without the directory sync a crash
         between rename and the directory's own writeback could resurrect
         the pre-compaction log (or, on some filesystems, neither file).
+        A backend whose log could not be read refuses, counting one
+        ``stats.io_errors``: rewriting would drop every record it never
+        saw.
         """
+        if self._unread:
+            self.stats.io_errors += 1
+            return len(self._entries)
         live: list[dict] = []
         for (doc, pat), ids in sorted(self._entries.items()):
             live.append(

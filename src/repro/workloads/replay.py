@@ -58,7 +58,7 @@ from ..core.containment import (
 )
 from ..core.rewrite import RewriteSolver
 from ..errors import WorkloadError
-from ..obs import current_registry, root
+from ..obs import root
 from ..patterns.ast import Pattern
 from ..views.advisor import advise_views
 from ..views.engine import QueryEngine
@@ -313,12 +313,6 @@ def replay_stream(
     report = ReplayReport()
     engine_before = engine.stats.snapshot()
     containment_before = CONTAINMENT_STATS.snapshot()
-    registry = current_registry()
-    latency_hist = (
-        registry.histogram("replay.query_seconds")
-        if registry is not None
-        else None
-    )
     distinct: set[int] = set()
     for start in range(0, len(queries), batch_size):
         chunk = list(queries[start : start + batch_size])
@@ -338,8 +332,6 @@ def replay_stream(
         # deterministic).
         verdicts: dict[int, bool] = {}
         for query, plan, answers in zip(chunk, result.plans, result.answers):
-            if latency_hist is not None:
-                latency_hist.observe(per_query)
             _tally(report, distinct, query, plan, answers)
             if verify and plan.parts:
                 key = query.memo_key()
@@ -594,9 +586,6 @@ def replay_catalog(
             }
             report.queries += tally.queries
         report.backend = catalog.backend_stats()
-        registry = current_registry()
-        if registry is not None:
-            registry.publish("replay.catalog", report.counters())
         return report
     finally:
         catalog.close()
@@ -659,10 +648,6 @@ def replay_workload(
         report.containment["engine_cache_limit"] = engine_cache_limit()
         report.backend = dict(store.backend.stats.snapshot())
         report.backend["durable"] = int(store.backend.durable)
-        registry = current_registry()
-        if registry is not None:
-            registry.publish("replay", report.counters())
-            registry.publish("backend", report.backend)
         return report
     finally:
         store.close()

@@ -491,17 +491,23 @@ class TestBackendFaults:
         self, fleet, tmp_path
     ):
         """No record ships for a refused append: each replica evaluates
-        the view itself, and every answer is still ``P(t)``."""
+        the view into its own memory, not into its shipped copy, so the
+        writer's next record still ships, and every answer is
+        ``P(t)``."""
         spec, probes = fleet
-        view = "*//b"
-        xpaths = probes["doc-0"] + [view]
+        refused, logged = "*//b", "*//a/*"
+        xpaths = probes["doc-0"] + [refused, logged]
         with ReplicaSet(spec, replicas=2, root=tmp_path / "set") as rs:
             with refused_appends(rs.writer.backend):
-                rs.define_views("doc-0", [parse_pattern(view)])
+                rs.define_views("doc-0", [parse_pattern(refused)])
             assert rs.writer.backend.stats.io_errors == 1
             assert rs.stats.records_shipped == 0
+            rs.define_views("doc-0", [parse_pattern(logged)])
+            assert rs.stats.records_shipped > 0
             for replica in rs.replicas():
-                assert replica.backend.stats.saves == 1  # evaluated
+                assert rs.lag_records(replica.index) == 0
+                assert replica.backend.stats.saves == 0
+                assert replica.backend.stats.io_errors == 0
             answers = rs.execute("doc-0", xpaths)
             assert rs.stats.replica_answers == len(xpaths)
         assert answers.answers == direct_answers(spec, "doc-0", xpaths)

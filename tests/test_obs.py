@@ -1,8 +1,9 @@
-"""Observability layer tests (PR 10): metrics, tracing, determinism.
+"""Observability layer tests (PR 10): tracing and determinism.
 
 Three tiers:
 
-* unit tests for the registry/tracer/exporters (fast, no marks);
+* unit tests for the tracer and the JSONL export (fast, no marks), and
+  a burst served in batches, each recorded once;
 * a Hypothesis property driving the async front end through arbitrary
   arrival interleavings and asserting every trace is a **well-nested
   tree** — checked purely on the tracer's open/close sequence numbers,
@@ -32,12 +33,9 @@ from repro.core.containment import clear_cache
 from repro.errors import AdmissionRejected
 from repro.faults import VirtualClock
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     export_traces_jsonl,
-    install_registry,
     install_tracer,
-    render_prometheus,
     root,
     span,
     trace_structure,
@@ -57,15 +55,13 @@ QUERY_POOL = 4
 
 
 @pytest.fixture(autouse=True)
-def _no_global_instruments():
-    """Tests install tracers/registries explicitly; never leak them."""
-    previous_tracer = install_tracer(None)
-    previous_registry = install_registry(None)
+def _no_global_tracer():
+    """Tests install tracers explicitly; never leak them."""
+    previous = install_tracer(None)
     try:
         yield
     finally:
-        install_tracer(previous_tracer)
-        install_registry(previous_registry)
+        install_tracer(previous)
 
 
 def _load_trace_report():
@@ -75,87 +71,6 @@ def _load_trace_report():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-# ----------------------------------------------------------------------
-# Metrics registry
-# ----------------------------------------------------------------------
-
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("requests").inc()
-        registry.counter("requests").inc(4)
-        registry.gauge("depth").set(7)
-        hist = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 2.0):
-            hist.observe(value)
-        snap = registry.snapshot()
-        assert snap["requests"] == 5
-        assert snap["depth"] == 7
-        assert snap["lat"]["count"] == 3
-        assert snap["lat"]["sum"] == pytest.approx(2.55)
-        # Cumulative bucket counts: <=0.1 holds 1, <=1.0 holds 2.
-        assert snap["lat"]["buckets"] == [(0.1, 1), (1.0, 2)]
-
-    def test_same_name_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-
-    def test_disabled_registry_is_inert(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("x").inc()
-        registry.gauge("y").set(3)
-        registry.histogram("z").observe(0.5)
-        with registry.time("t"):
-            pass
-        registry.publish("p", {"a": 1})
-        assert registry.metrics() == ()
-        assert registry.snapshot() == {}
-
-    def test_time_scope_uses_injected_clock(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry(clock=clock)
-        with registry.time("step", buckets=(1.0, 10.0)):
-            clock.advance(2.0)
-        snap = registry.snapshot()["step"]
-        assert snap["count"] == 1
-        assert snap["sum"] == pytest.approx(2.0)
-
-    def test_publish_flattens_nested_and_skips_non_numeric(self):
-        registry = MetricsRegistry()
-        registry.publish(
-            "serve",
-            {
-                "admitted": 3,
-                "backend": {"io_errors": 1},
-                "identical": True,          # bool: skipped
-                "dispatch_log": [(1, 2)],   # list: skipped
-                "mode": "inline",           # str: skipped
-            },
-        )
-        snap = registry.snapshot()
-        assert snap == {"serve.admitted": 3, "serve.backend.io_errors": 1}
-
-    def test_render_prometheus(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.admitted").inc(60)
-        hist = registry.histogram("serve.latency", buckets=(0.5, 1.0))
-        hist.observe(0.2)
-        hist.observe(3.0)
-        text = render_prometheus(registry)
-        assert "# TYPE serve_admitted counter" in text
-        assert "serve_admitted 60" in text
-        assert 'serve_latency_bucket{le="0.5"} 1' in text
-        assert 'serve_latency_bucket{le="+Inf"} 2' in text
-        assert "serve_latency_count 2" in text
 
 
 # ----------------------------------------------------------------------
@@ -234,29 +149,34 @@ class TestTracer:
         assert install_tracer(second) is first
         assert current_tracer() is second
 
-    def test_adopt_fans_out_per_parent(self):
-        """A batch span lands in EVERY member request's trace."""
+    def test_adopt_opens_one_child_under_the_given_parent(self):
+        """A batch span opens once, under the root it adopts, whatever
+        span is open around it; spans inside it nest under it."""
         tracer = Tracer(clock=VirtualClock())
         install_tracer(tracer)
-        one = tracer.start_root("request", index=0)
-        two = tracer.start_root("request", index=1)
-        with adopt([one, None, two]):
-            with span("batch", size=2):
-                pass
-        one.close()
-        two.close()
-        records = tracer.records()
-        batches = [r for r in records if r.name == "batch"]
-        assert len(batches) == 2
-        assert {b.trace_id for b in batches} == {one.trace_id, two.trace_id}
-        _assert_well_nested_forest(records)
+        first = tracer.start_root("request", index=0)
+        second = tracer.start_root("request", index=1)
+        with root("elsewhere"):
+            with adopt(first, "batch", links=[second.span_id]):
+                with span("inner"):
+                    pass
+        with adopt(None, "batch") as scope:
+            scope.set(size=0)
+        first.close()
+        second.close()
+        by_name = {r.name: r for r in tracer.records()}
+        assert by_name["batch"].parent_id == first.span_id
+        assert by_name["batch"].attrs == {"links": [second.span_id]}
+        assert by_name["inner"].parent_id == by_name["batch"].span_id
+        assert len(tracer.records()) == 5
+        _assert_well_nested_forest(tracer.records())
 
     def test_structure_drops_timings(self):
         tracer = Tracer(clock=VirtualClock())
         install_tracer(tracer)
         with root("r"):
             pass
-        (structure,) = tracer.structure()
+        (structure,) = trace_structure(tracer)
         assert "start" not in structure and "end" not in structure
         assert structure["name"] == "r"
         (record,) = tracer.records()
@@ -462,3 +382,59 @@ class TestDeterministicTraces:
         )
         # The stream's broad queries select nodes on every document.
         assert sum(1 for _, answer in survivors if answer) >= 10
+
+
+@pytest.mark.async_serve
+def test_each_batch_is_recorded_once():
+    """A burst of 12 requests at ``batch_size=4`` dispatches batches of
+    4, 4, 2 and 2.  Each records one ``serve.batch`` span, under its
+    first member's admission root and linking the other members'
+    roots, and the engine's work inside it is recorded once: one
+    ``engine.answer`` span per answer the engines count."""
+    clear_cache()
+    spec, requests = openloop.fleet(9)
+    burst = requests[:12]
+    tracer = Tracer()
+    install_tracer(tracer)
+
+    async def go(server):
+        async with server.serve(batch_size=4) as front:
+            futures = [
+                await front.submit(doc_id, xpath) for doc_id, xpath in burst
+            ]
+        return [future.result() for future in futures], front.counters()
+
+    with CatalogServer(spec, workers=0) as server:
+        answers, counters = asyncio.run(go(server))
+        engines = [doc["engine"] for doc in server.counters().values()]
+    install_tracer(None)
+
+    assert answers == direct_request_answers(spec, burst)
+    assert [entry[1] for entry in counters["dispatch_log"]] == [4, 4, 2, 2]
+    records = tracer.records()
+    _assert_well_nested_forest(records)
+    roots = {r.span_id: r for r in records if r.parent_id is None}
+    assert len(roots) == counters["admitted"] == len(burst)
+    batches = [r for r in records if r.name == "serve.batch"]
+    assert [batch.attrs["size"] for batch in batches] == [4, 4, 2, 2]
+    members = []
+    for batch in batches:
+        batch_members = [batch.parent_id, *batch.attrs["links"]]
+        # Roots are minted in admission order: the parent is the
+        # batch's first member.
+        assert batch_members == sorted(batch_members)
+        assert len(batch_members) == batch.attrs["size"]
+        assert all(
+            roots[member].attrs["doc_id"] == batch.attrs["doc_id"]
+            for member in batch_members
+        )
+        members += batch_members
+    # Every admitted root is the parent or a link of exactly one batch.
+    assert sorted(members) == sorted(roots)
+    engine_answers = sum(
+        engine["direct_answers"]
+        + engine["view_answers"]
+        + engine["intersection_answers"]
+        for engine in engines
+    )
+    assert sum(r.name == "engine.answer" for r in records) == engine_answers

@@ -8,7 +8,9 @@ document mutation invalidates the old shape's entries.
 
 from __future__ import annotations
 
+import errno
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +229,43 @@ class TestCorruptionAndStaleness:
         backend = SnapshotBackend(snapshot_path)
         assert backend.stats.corrupt_records == 1
         assert len(backend) == len(VIEWS) - 1
+
+
+class TestUnreadableLog:
+    def test_unreadable_log_is_never_rewritten(
+        self, snapshot_path, monkeypatch
+    ):
+        """A log the backend could not read stays as it was: saves and
+        compaction are refused and counted, and the records it never
+        saw load again once the file reads."""
+        with SnapshotBackend(snapshot_path) as backend:
+            for index in range(3):
+                backend.save("d", f"p{index}", [index])
+        original = snapshot_path.read_bytes()
+        read_text = Path.read_text
+        failures = [OSError(errno.EIO, "disk I/O error (injected)")]
+
+        def fail_once(path, *args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", fail_once)
+        with SnapshotBackend(snapshot_path) as backend:
+            assert backend.last_seqno == 0
+            assert backend.stats.io_errors == 1
+            assert backend.stats.corrupt_records == 0
+            backend.save("d", "new", [7])
+            assert backend.load("d", "new") is None  # re-evaluated
+            backend.compact()
+            assert backend.stats.io_errors == 3
+            assert backend.stats.saves == 0
+        assert snapshot_path.read_bytes() == original
+        with SnapshotBackend(snapshot_path) as reopened:
+            assert [reopened.load("d", f"p{i}") for i in range(3)] == [
+                [0], [1], [2]
+            ]
+            assert reopened.last_seqno == 3
 
 
 class TestInvalidation:
